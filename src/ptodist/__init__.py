@@ -19,7 +19,9 @@ from .tasks import (
     fstock,
     inventory_task,
     objective,
+    objective_rows,
     oracle,
+    oracle_batch,
     shortest_path_task,
     topk_task,
     validate_decision,
@@ -48,9 +50,11 @@ from .transfer import (
     estimate_phi,
     evaluate_bound,
     mean_regret,
+    predict_rows,
     regret_transferability,
     rsquared,
     train_regret_min,
+    transfer_records,
     weight_sweep,
 )
 

@@ -8,16 +8,19 @@ Every generator is deterministic given its seeds and stamps provenance
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ground_cost import Sample
 from .tasks import (
+    REQUIRED_PARAMS,
     InventoryParams,
     TaskDefinition,
     inventory_task,
+    objective_rows,
     oracle,
+    oracle_batch,
     shortest_path_task,
     topk_task,
     validate_decision,
@@ -32,9 +35,14 @@ class DatasetFormatError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class PtODataset:
+    """Samples of one task, with their features and labels also stacked as
+    arrays ``X`` (n, dx) and ``Y`` (n, dy)."""
+
     task: TaskDefinition
     samples: tuple
     provenance: dict
+    X: np.ndarray = field(init=False, repr=False)
+    Y: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.samples) == 0:
@@ -48,9 +56,25 @@ class PtODataset:
                 raise ValueError(f"sample {i} is dimensionally inhomogeneous")
             if not validate_decision(self.task, s.z):
                 raise ValueError(f"sample {i} carries an infeasible decision")
+        object.__setattr__(self, "X", np.stack([s.x for s in self.samples]))
+        object.__setattr__(self, "Y", np.stack([s.y for s in self.samples]))
+        object.__setattr__(self, "_optimal_quality", None)
 
     def __len__(self) -> int:
         return len(self.samples)
+
+    def optimal_quality(self, task: TaskDefinition) -> np.ndarray:
+        """g(w*(y_i); y_i) for each sample under ``task`` (read-only).
+
+        Computed on first use and kept; computed again only for another task.
+        """
+        cached = self._optimal_quality
+        if cached is None or cached[0] != task:
+            q = objective_rows(task, oracle_batch(task, self.Y), self.Y)
+            q.flags.writeable = False
+            cached = (task, q)
+            object.__setattr__(self, "_optimal_quality", cached)
+        return cached[1]
 
 
 def gen_topk(
@@ -149,10 +173,10 @@ def gen_grid(
 
 
 def score_probs(scores: np.ndarray) -> np.ndarray:
-    """Normalize exp(scores) into a probability vector (max-shifted for stability)."""
+    """Normalize exp(scores) into probability vectors along the last axis (max-shifted for stability)."""
     scores = np.asarray(scores, dtype=float)
-    e = np.exp(scores - scores.max())
-    return e / e.sum()
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def gen_inventory(
@@ -202,8 +226,14 @@ def _task_to_json(task: TaskDefinition) -> dict:
     return {"kind": task.kind, "params": params}
 
 
-def _task_from_json(obj: dict) -> TaskDefinition:
+def _task_from_json(obj: dict, path) -> TaskDefinition:
+    for key in ("kind", "params"):
+        if key not in obj:
+            raise DatasetFormatError(f"{path}: line 1: task missing field {key!r}")
     params = dict(obj["params"])
+    for key in REQUIRED_PARAMS.get(obj["kind"], ()):
+        if key not in params:
+            raise DatasetFormatError(f"{path}: line 1: task params missing {key!r}")
     if obj["kind"] == "inventory":
         params["inventory_params"] = InventoryParams(**params["inventory_params"])
         params["demand_values"] = tuple(params["demand_values"])
@@ -233,7 +263,7 @@ def read_dataset(path) -> PtODataset:
     for key in ("task", "provenance"):
         if key not in header:
             raise DatasetFormatError(f"{path}: line 1: header missing field {key!r}")
-    task = _task_from_json(header["task"])
+    task = _task_from_json(header["task"], path)
     samples = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():

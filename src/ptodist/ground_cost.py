@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ot_core import CostMatrix, Marginal, solve_exact, solve_sinkhorn
-from .tasks import TaskDefinition, InfeasibleDecisionError, objective, validate_decision
+from .tasks import TaskDefinition, InfeasibleDecisionError, objective, objective_rows, validate_decision
 
 MODES = ("as-written", "symmetrized")
 
@@ -111,16 +111,19 @@ def component_matrices(dataset, dataset_prime, mode: str = "as-written"):
     F = np.zeros((n, m))
     L = np.zeros((n, m))
     W = np.zeros((n, m))
-    # objective values g(z_i; y_j) for all decision/label pairings
-    gAB = np.array([[objective(task, a.z, b.y) for b in B] for a in A])
-    gBB = np.array([objective(task, b.z, b.y) for b in B])
-    if mode == "symmetrized":
-        gAA = np.array([objective(task, a.z, a.y) for a in A])
-        gBA = np.array([[objective(task, b.z, a.y) for a in A] for b in B])
     XA = np.array([a.x for a in A])
     XB = np.array([b.x for b in B])
     YA = np.array([a.y for a in A])
     YB = np.array([b.y for b in B])
+    ZA = np.array([a.z for a in A])
+    ZB = np.array([b.z for b in B])
+    # objective values g(z_i; y_j) for all decision/label pairings; a dataset's
+    # decisions were checked feasible when it was built
+    gAB = objective_rows(task, ZA[:, None, :], YB[None, :, :])
+    gBB = objective_rows(task, ZB, YB)
+    if mode == "symmetrized":
+        gAA = objective_rows(task, ZA, YA)
+        gBA = objective_rows(task, ZB[:, None, :], YA[None, :, :])
     for i in range(n):
         F[i] = np.linalg.norm(XA[i][None, :] - XB, axis=1)
         L[i] = np.linalg.norm(YA[i][None, :] - YB, axis=1)

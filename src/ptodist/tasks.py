@@ -25,6 +25,10 @@ class InfeasibleDecisionError(ValueError):
     """A decision vector is not feasible for its task."""
 
 
+class NegativeCostError(ArithmeticError):
+    """A shortest-path cell cost is negative, so shortest paths are undefined."""
+
+
 @dataclass(frozen=True)
 class InventoryParams:
     """Stocking cost coefficients: linear/quadratic order, backorder, holding."""
@@ -42,6 +46,14 @@ class InventoryParams:
             raise ValueError("inventory cost coefficients must be nonnegative")
         if not (self.q0 > 0 or (self.qb > 0 and self.qh > 0)):
             raise ValueError("need q0 > 0 or both qb, qh > 0 for a unique minimizer")
+
+
+# the parameters each task kind cannot do without
+REQUIRED_PARAMS = {
+    "topk": ("n_resources", "k"),
+    "shortest_path": ("p",),
+    "inventory": ("demand_values", "inventory_params"),
+}
 
 
 @dataclass(frozen=True)
@@ -105,10 +117,10 @@ def inventory_task(
     )
 
 
-def fstock(params: InventoryParams, d: float, z: float) -> float:
-    """Stocking cost for order quantity z under realized demand d."""
-    under = max(d - z, 0.0)
-    over = max(z - d, 0.0)
+def fstock(params: InventoryParams, d, z):
+    """Stocking cost for order quantity z under realized demand d (numbers or arrays, broadcast together)."""
+    under = np.maximum(d - z, 0.0)
+    over = np.maximum(z - d, 0.0)
     return (
         params.c0 * z
         + 0.5 * params.q0 * z * z
@@ -119,8 +131,13 @@ def fstock(params: InventoryParams, d: float, z: float) -> float:
     )
 
 
-def _expected_stock_cost(params: InventoryParams, demands, probs, z: float) -> float:
-    return float(sum(p * fstock(params, d, z) for p, d in zip(probs, demands)))
+def _expected_stock_cost(task: TaskDefinition, probs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    # Expected stocking cost under the demand probabilities on the last axis of
+    # probs, for order quantities z that carry a trailing axis of length 1.
+    # Summed over the demands left to right, as a Python sum would.
+    demands = np.asarray(task.params["demand_values"], dtype=float)
+    terms = probs * fstock(task.params["inventory_params"], demands, z)
+    return np.add.accumulate(terms, axis=-1)[..., -1]
 
 
 def validate_decision(task: TaskDefinition, z) -> bool:
@@ -168,41 +185,70 @@ def _mask_is_connected_path(mask: np.ndarray, neighborhood: int) -> bool:
     return len(seen) == int(mask.sum()) and (p - 1, p - 1) in seen
 
 
+def objective_rows(task: TaskDefinition, Z, Y) -> np.ndarray:
+    """g(z_i; y_i) for each row of stacked decisions Z and labels Y.
+
+    Each row is one vector along the last axis; a single pair of vectors
+    gives a scalar. Rows are not checked for feasibility; :func:`objective`
+    is the checked one-row form.
+    """
+    Z = np.asarray(Z, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    # np.vecdot takes one BLAS dot per row: the arithmetic of ``z @ y``
+    if task.kind == "topk":
+        return np.vecdot(Z, Y)
+    if task.kind == "shortest_path":
+        return -np.vecdot(Z, Y) - task.params.get("length_weight", 0.0) * Z.sum(axis=-1)
+    return -_expected_stock_cost(task, Y, Z)
+
+
 def objective(task: TaskDefinition, z, y) -> float:
     """Decision quality g(z; y); larger is better for every task kind."""
     z = np.asarray(z, dtype=float)
     y = np.asarray(y, dtype=float)
     if not validate_decision(task, z):
         raise InfeasibleDecisionError(f"infeasible decision for task {task.kind!r}")
+    return float(objective_rows(task, z.ravel(), y.ravel()))
+
+
+def oracle_batch(task: TaskDefinition, Y) -> np.ndarray:
+    """Optimal decisions argmax_z g(z; y_i), one row per row of labels Y.
+
+    Deterministic, and each row depends only on its own labels. Top-K ties
+    break to the lowest index; among inventory candidates of equal cost the
+    first (knots, then segment stationary points) wins.
+    """
+    Y = np.asarray(Y, dtype=float)
     if task.kind == "topk":
-        return float(z @ y)
+        order = np.argsort(-Y, axis=1, kind="stable")
+        Z = np.zeros(Y.shape)
+        np.put_along_axis(Z, order[:, : task.params["k"]], 1.0, axis=1)
+        return Z
     if task.kind == "shortest_path":
-        lw = task.params.get("length_weight", 0.0)
-        zf = z.ravel()
-        return float(-(zf @ y.ravel()) - lw * zf.sum())
-    params: InventoryParams = task.params["inventory_params"]
-    demands = task.params["demand_values"]
-    return -_expected_stock_cost(params, demands, y, float(z[0]))
+        return _shortest_path_oracle_batch(task, Y)
+    return _inventory_oracle_batch(task, Y)
 
 
 def oracle(task: TaskDefinition, y) -> np.ndarray:
-    """Optimal decision argmax_z g(z; y). Deterministic; ties break to the lowest index."""
-    y = np.asarray(y, dtype=float)
-    if task.kind == "topk":
-        k = task.params["k"]
-        n = task.params["n_resources"]
-        order = np.argsort(-y, kind="stable")
-        z = np.zeros(n)
-        z[order[:k]] = 1.0
-        return z
-    if task.kind == "shortest_path":
-        return _shortest_path_oracle(task, y)
-    return _inventory_oracle(task, y)
+    """Optimal decision argmax_z g(z; y): the one-row form of :func:`oracle_batch`."""
+    return oracle_batch(task, np.asarray(y, dtype=float).reshape(1, -1))[0]
 
 
-def _shortest_path_oracle(task: TaskDefinition, y: np.ndarray) -> np.ndarray:
+def _shortest_path_oracle_batch(task: TaskDefinition, Y: np.ndarray) -> np.ndarray:
     p = task.params["p"]
-    cost = y.reshape(p, p) + task.params.get("length_weight", 0.0)
+    costs = Y.reshape(-1, p, p) + task.params.get("length_weight", 0.0)
+    if costs.size and costs.min() < 0:
+        # adjacent negative cells form negative cycles: Dijkstra would never stop
+        row, i, j = np.unravel_index(np.argmin(costs), costs.shape)
+        raise NegativeCostError(
+            f"shortest-path cell cost {float(costs[row, i, j])!r} (label + length_weight) "
+            f"at row {row}, cell {i * p + j} is negative; cell costs must be nonnegative"
+        )
+    return np.stack([_shortest_path_oracle(task, cost) for cost in costs])
+
+
+def _shortest_path_oracle(task: TaskDefinition, cost: np.ndarray) -> np.ndarray:
+    p = task.params["p"]
     count_start = task.params.get("count_start", True)
     moves = _neighbor_moves(task.params.get("neighborhood", 8))
     start_cost = cost[0, 0] if count_start else 0.0
@@ -232,34 +278,33 @@ def _shortest_path_oracle(task: TaskDefinition, y: np.ndarray) -> np.ndarray:
     return mask.ravel()
 
 
-def _inventory_oracle(task: TaskDefinition, y: np.ndarray) -> np.ndarray:
+def _inventory_oracle_batch(task: TaskDefinition, P: np.ndarray) -> np.ndarray:
     # for fixed z the auxiliary QP variables collapse to hinge values, leaving a
-    # convex piecewise-quadratic in scalar z; minimize piece by piece
+    # convex piecewise-quadratic in scalar z; minimize piece by piece, every row at once
     params: InventoryParams = task.params["inventory_params"]
     demands = np.asarray(task.params["demand_values"], dtype=float)
-    probs = np.asarray(y, dtype=float)
     knots = np.concatenate([[0.0], demands])
-    candidates = list(knots)
-    segments = [(knots[i], knots[i + 1]) for i in range(len(knots) - 1)]
-    segments.append((knots[-1], knots[-1] + 1.0))  # beyond the largest demand
-    for lo, hi in segments:
-        mid = 0.5 * (lo + hi)
-        under = demands > mid  # demands above the segment: backorder side
-        over = demands < mid
-        # H(z) = A z^2 + B z + const on this segment
-        A = 0.5 * params.q0 + 0.5 * params.qb * probs[under].sum() + 0.5 * params.qh * probs[over].sum()
-        B = (
-            params.c0
-            - probs[under] @ (params.cb + params.qb * demands[under])
-            + probs[over] @ (params.ch - params.qh * demands[over])
-        )
-        if A > 0:
-            z_star = -B / (2 * A)
-            if lo <= z_star <= hi:
-                candidates.append(z_star)
-    candidates = [max(c, 0.0) for c in candidates]
-    vals = [_expected_stock_cost(params, demands, probs, c) for c in candidates]
-    return np.array([candidates[int(np.argmin(vals))]])
+    lo = knots
+    hi = np.append(knots[1:], knots[-1] + 1.0)  # the last segment lies beyond the largest demand
+    mid = 0.5 * (lo + hi)
+    under = demands[:, None] > mid[None, :]  # (demand, segment): backorder side
+    over = demands[:, None] < mid[None, :]
+    # H(z) = A z^2 + B z + const on each segment; demand j adds p_j times its terms
+    coef_a = np.where(under, 0.5 * params.qb, 0.0) + np.where(over, 0.5 * params.qh, 0.0)
+    coef_b = (np.where(under, -(params.cb + params.qb * demands[:, None]), 0.0)
+              + np.where(over, params.ch - params.qh * demands[:, None], 0.0))
+    A = 0.5 * params.q0
+    B = params.c0
+    for j in range(demands.size):
+        A = A + P[:, j : j + 1] * coef_a[j]
+        B = B + P[:, j : j + 1] * coef_b[j]
+    z_star = np.divide(-B, 2 * A, out=np.zeros(A.shape), where=A > 0)
+    inside = (A > 0) & (lo <= z_star) & (z_star <= hi)
+    candidates = np.maximum(np.concatenate([np.broadcast_to(knots, A.shape), z_star], axis=1), 0.0)
+    vals = _expected_stock_cost(task, P[:, None, :], candidates[:, :, None])
+    vals[:, knots.size :][~inside] = np.inf
+    best = np.argmin(vals, axis=1)  # the first minimum
+    return candidates[np.arange(P.shape[0]), best][:, None]
 
 
 def decision_quality(task: TaskDefinition, y_hat, y) -> float:

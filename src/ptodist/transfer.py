@@ -21,7 +21,7 @@ from .ground_cost import (
     pairwise_cost_matrix,
 )
 from .ot_core import Marginal, TransportPlan, solve_exact
-from .tasks import TaskDefinition, decision_regret, empirical_lipschitz, oracle
+from .tasks import TaskDefinition, empirical_lipschitz, objective_rows, oracle_batch
 
 
 @dataclass(frozen=True)
@@ -81,24 +81,29 @@ def model_dim(task: TaskDefinition, feature_dim: int) -> int:
     return k * (feature_dim + 1)
 
 
-def predict(task: TaskDefinition, model: PredictiveModel, x: np.ndarray) -> np.ndarray:
-    """Predicted label vector for one instance's features."""
-    x = np.asarray(x, dtype=float)
+def predict_rows(task: TaskDefinition, model: PredictiveModel, X) -> np.ndarray:
+    """Predicted label vectors, one row per row of stacked features X."""
+    X = np.asarray(X, dtype=float)
     theta = model.theta
     if task.kind in ("topk", "shortest_path"):
-        return theta[0] * x + theta[1]
+        return theta[0] * X + theta[1]
     k = len(task.params["demand_values"])
-    mat = theta.reshape(k, x.size + 1)
-    scores = mat[:, :-1] @ x + mat[:, -1]
-    return score_probs(scores)
+    mat = theta.reshape(k, X.shape[1] + 1)
+    return score_probs(X @ mat[:, :-1].T + mat[:, -1])
+
+
+def predict(task: TaskDefinition, model: PredictiveModel, x: np.ndarray) -> np.ndarray:
+    """Predicted label vector for one instance's features: one row of :func:`predict_rows`."""
+    return predict_rows(task, model, np.asarray(x, dtype=float).reshape(1, -1))[0]
 
 
 def mean_regret(task: TaskDefinition, model: PredictiveModel, dataset: PtODataset) -> float:
-    """Mean decision regret of a model's predictions over a dataset."""
-    total = 0.0
-    for s in dataset.samples:
-        total += decision_regret(task, predict(task, model, s.x), s.y)
-    return total / len(dataset.samples)
+    """Mean decision regret |g(w*(y); y) - g(w*(f(x)); y)| of a model's predictions over a dataset."""
+    decisions = oracle_batch(task, predict_rows(task, model, dataset.X))
+    regrets = np.abs(dataset.optimal_quality(task) - objective_rows(task, decisions, dataset.Y))
+    # summed one after another in sample order, so that the pattern search,
+    # which compares these means, sees the same values as a running total
+    return float(np.add.accumulate(regrets)[-1]) / regrets.size
 
 
 def train_regret_min(
@@ -112,7 +117,7 @@ def train_regret_min(
     if budget < 1:
         raise ValueError("training budget must be at least 1 evaluation")
     rng = np.random.default_rng(seed)
-    dim = model_dim(task, dataset.samples[0].x.size)
+    dim = model_dim(task, dataset.X.shape[1])
 
     def loss(theta):
         return mean_regret(task, PredictiveModel("linear", theta), dataset)
@@ -163,20 +168,41 @@ def regret_transferability(
     the record then carries ``transferability=None`` and the absolute source
     regret stands in for qualitative comparison.
     """
-    if source.task != target.task:
+    (record,) = transfer_records(task, [source], target, budget=budget, seed=seed,
+                                 source_ids=[source_id], target_id=target_id)
+    return record
+
+
+def transfer_records(
+    task: TaskDefinition,
+    sources,
+    target: PtODataset,
+    budget: int = 5000,
+    seed: int = 0,
+    source_ids=None,
+    target_id: str = "target",
+) -> list[TransferRecord]:
+    """:func:`regret_transferability` of each source onto one target.
+
+    The target model is trained once and shared by every record. Sources are
+    named ``"0"``, ``"1"``, ... unless ``source_ids`` is given.
+    """
+    if any(s.task != target.task for s in sources):
         raise ValueError("source and target must be from the same task family")
-    theta_s = train_regret_min(task, source, budget=budget, seed=seed)
-    theta_t = train_regret_min(task, target, budget=budget, seed=seed)
-    r_st = mean_regret(task, theta_s, target)
-    r_tt = mean_regret(task, theta_t, target)
-    transfer = (r_tt - r_st) / r_tt if r_tt >= 1e-9 else None
-    return TransferRecord(
-        source_id=source_id,
-        target_id=target_id,
-        transferability=transfer,
-        regret_source_on_target=r_st,
-        regret_target_on_target=r_tt,
-    )
+    if source_ids is None:
+        source_ids = [str(i) for i in range(len(sources))]
+    r_tt = mean_regret(task, train_regret_min(task, target, budget=budget, seed=seed), target)
+    records = []
+    for source_id, source in zip(source_ids, sources):
+        r_st = mean_regret(task, train_regret_min(task, source, budget=budget, seed=seed), target)
+        records.append(TransferRecord(
+            source_id=source_id,
+            target_id=target_id,
+            transferability=(r_tt - r_st) / r_tt if r_tt >= 1e-9 else None,
+            regret_source_on_target=r_st,
+            regret_target_on_target=r_tt,
+        ))
+    return records
 
 
 def rsquared(points) -> float:
@@ -212,7 +238,6 @@ def weight_sweep(
     sources,
     target: PtODataset,
     grid_resolution: int = 10,
-    solver: str = "exact",
     mode: str = "as-written",
     budget: int = 5000,
     seed: int = 0,
@@ -220,10 +245,7 @@ def weight_sweep(
     """R-squared of transferability against distance for each simplex weight triple."""
     if len(sources) < 3:
         raise ValueError("need at least 3 source datasets")
-    records = [
-        regret_transferability(task, s, target, budget=budget, seed=seed, source_id=str(i))
-        for i, s in enumerate(sources)
-    ]
+    records = transfer_records(task, sources, target, budget=budget, seed=seed)
     transfers = [r.transferability for r in records]
     if any(t is None for t in transfers):
         raise ValueError("transferability undefined for a source (zero target regret)")
@@ -279,25 +301,25 @@ def estimate_phi(
     """Mass fraction of coupled pairs violating the lambda-Lipschitz condition."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    P = plan.matrix
-    viol = 0.0
-    for i, sa in enumerate(dataset_a.samples):
-        fa = predict(task, f_tilde, sa.x)
-        for j, sb in enumerate(dataset_b.samples):
-            if P[i, j] <= 0:
-                continue
-            gap = np.linalg.norm(fa - predict(task, f_tilde, sb.x))
-            dx = np.linalg.norm(sa.x - sb.x)
-            if gap > lam * dx + 1e-12:
-                viol += P[i, j]
-    return float(min(max(viol / P.sum(), 0.0), 1.0))
+    mass, gaps, dx = _coupled_gaps(task, f_tilde, plan, dataset_a, dataset_b)
+    viol = mass[gaps > lam * dx + 1e-12].sum()
+    return float(min(max(viol / plan.matrix.sum(), 0.0), 1.0))
+
+
+def _coupled_gaps(task, f_tilde, plan, dataset_a, dataset_b):
+    """Over the plan's nonzero entries (i, j): the mass, |f(x_i) - f(x'_j)| and |x_i - x'_j|."""
+    I, J = np.nonzero(plan.matrix > 0)
+    pred_a = predict_rows(task, f_tilde, dataset_a.X)
+    pred_b = predict_rows(task, f_tilde, dataset_b.X)
+    gaps = np.linalg.norm(pred_a[I] - pred_b[J], axis=1)
+    dx = np.linalg.norm(dataset_a.X[I] - dataset_b.X[J], axis=1)
+    return plan.matrix[I, J], gaps, dx
 
 
 def lift_target(task: TaskDefinition, dataset: PtODataset, f: PredictiveModel) -> PtODataset:
     """Replace decisions with those induced by the model's predictions."""
-    samples = tuple(
-        Sample(x=s.x, y=s.y, z=oracle(task, predict(task, f, s.x))) for s in dataset.samples
-    )
+    decisions = oracle_batch(task, predict_rows(task, f, dataset.X))
+    samples = tuple(Sample(x=s.x, y=s.y, z=z) for s, z in zip(dataset.samples, decisions))
     prov = dict(dataset.provenance)
     prov["lifted"] = "model-induced decisions"
     return PtODataset(task=dataset.task, samples=samples, provenance=prov)
@@ -305,7 +327,8 @@ def lift_target(task: TaskDefinition, dataset: PtODataset, f: PredictiveModel) -
 
 def lift_source(task: TaskDefinition, dataset: PtODataset) -> PtODataset:
     """Replace decisions with the oracle decisions for the true labels."""
-    samples = tuple(Sample(x=s.x, y=s.y, z=oracle(task, s.y)) for s in dataset.samples)
+    decisions = oracle_batch(task, dataset.Y)
+    samples = tuple(Sample(x=s.x, y=s.y, z=z) for s, z in zip(dataset.samples, decisions))
     prov = dict(dataset.provenance)
     prov["lifted"] = "oracle decisions"
     return PtODataset(task=dataset.task, samples=samples, provenance=prov)
@@ -357,13 +380,8 @@ def evaluate_bound(
     b = Marginal.uniform(len(lifted_s.samples))
     plan, d_ot = solve_exact(cost, a, b)
 
-    max_gap = 0.0
-    for i, st in enumerate(lifted_t.samples):
-        ft_i = predict(task, f_tilde, st.x)
-        for j, ss in enumerate(lifted_s.samples):
-            if plan.matrix[i, j] > 0:
-                max_gap = max(max_gap, float(np.linalg.norm(ft_i - predict(task, f_tilde, ss.x))))
-    big_l = envelope if envelope is not None else max_gap
+    big_l = envelope if envelope is not None else float(
+        _coupled_gaps(task, f_tilde, plan, lifted_t, lifted_s)[1].max())
     phi = estimate_phi(task, f_tilde, plan, lifted_t, lifted_s, lam)
 
     lhs = mean_regret(task, f, target)

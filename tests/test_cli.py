@@ -2,11 +2,12 @@
 
 import csv
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
-from ptodist import cli
+from ptodist import cli, transfer
 from ptodist.datagen import read_dataset
 
 
@@ -85,6 +86,53 @@ def test_dist_task_mismatch_exit_code(tmp_path):
     g = tmp_path / "g.plds"
     run_cli(["gen", "--family", "grid", "--p", "4", "--instances", "3", "--out", str(g)])
     assert run_cli(["dist", str(a), str(g)]) == 2
+
+
+def test_missing_task_param_exit_code(tmp_path, capsys):
+    a = gen_topk_file(tmp_path, "a.plds", 0.0, 1)
+    lines = a.read_text().splitlines()
+    header = json.loads(lines[0])
+    del header["task"]["params"]["n_resources"]
+    bad = tmp_path / "bad.plds"
+    bad.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    capsys.readouterr()
+    assert run_cli(["dist", str(a), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "line 1: task params missing 'n_resources'" in err
+    assert "Traceback" not in err
+
+
+def test_negative_grid_cost_is_numerical_failure(tmp_path, capsys):
+    g = tmp_path / "g.plds"
+    assert run_cli(["gen", "--family", "grid", "--p", "3", "--instances", "3",
+                    "--cost-seed", "1", "--map-seed", "2", "--out", str(g)]) == 0
+    capsys.readouterr()
+    # training steps to predictions below zero, where shortest paths are undefined
+    code = run_cli(["transfer", "--source", str(g), "--target", str(g),
+                    "--budget", "20", "--out", str(tmp_path / "t.csv")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure: shortest-path cell cost -")
+    assert "Traceback" not in err
+
+
+def test_transfer_trains_target_once(tmp_path, monkeypatch):
+    srcs = [gen_topk_file(tmp_path, f"s{i}.plds", g, 10 + i) for i, g in enumerate((0.0, 0.6, 1.2))]
+    tgt = gen_topk_file(tmp_path, "t.plds", 0.65, 30)
+    trained = []
+    train = transfer.train_regret_min
+
+    def counting_train(task, dataset, **kwargs):
+        trained.append(dataset)
+        return train(task, dataset, **kwargs)
+
+    monkeypatch.setattr(transfer, "train_regret_min", counting_train)
+    args = ["transfer", "--target", str(tgt), "--budget", "100", "--out", str(tmp_path / "t.csv")]
+    for s in srcs:
+        args += ["--source", str(s)]
+    assert run_cli(args) == 0
+    assert len(trained) == len(srcs) + 1
+    assert len(read_rows(tmp_path / "t.csv")) == len(srcs)
 
 
 def test_missing_file_exit_code(tmp_path):

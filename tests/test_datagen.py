@@ -179,3 +179,9 @@ def test_read_errors_name_line_and_field(tmp_path):
     (tmp_path / "badjson.plds").write_text(lines[0] + "\n{not json\n")
     with pytest.raises(DatasetFormatError, match="line 2"):
         read_dataset(tmp_path / "badjson.plds")
+
+    header = json.loads(lines[0])
+    del header["task"]["params"]["k"]
+    (tmp_path / "nok.plds").write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    with pytest.raises(DatasetFormatError, match=r"nok\.plds: line 1: task params missing 'k'"):
+        read_dataset(tmp_path / "nok.plds")

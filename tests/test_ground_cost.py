@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ptodist.datagen import PtODataset, gen_topk
+from ptodist.datagen import PtODataset, gen_grid, gen_inventory, gen_topk
 from ptodist.ground_cost import (
     GroundCostWeights,
     Sample,
@@ -184,11 +184,18 @@ def test_pairwise_matrix_matches_entrywise_recompute():
     d_a = topk_dataset(rng, t, 3)
     d_b = topk_dataset(rng, t, 4)
     w = GroundCostWeights(0.25, 0.25, 0.5)
-    for mode in ("as-written", "symmetrized"):
-        M = pairwise_cost_matrix(d_a, d_b, w, mode=mode).entries
-        for i, sa in enumerate(d_a.samples):
-            for j, sb in enumerate(d_b.samples):
-                assert abs(M[i, j] - pto_ground_cost(sa, sb, w, t, mode=mode).total) < 1e-12
+    pairs = [
+        (d_a, d_b),
+        (gen_grid(1, 2, p=4, n_instances=3, length_weight=0.5),
+         gen_grid(3, 2, p=4, n_instances=4, length_weight=0.5)),
+        (gen_inventory(1, 2, n_instances=3, seed=1), gen_inventory(2, 2, n_instances=4, seed=2)),
+    ]
+    for d_a, d_b in pairs:
+        for mode in ("as-written", "symmetrized"):
+            M = pairwise_cost_matrix(d_a, d_b, w, mode=mode).entries
+            for i, sa in enumerate(d_a.samples):
+                for j, sb in enumerate(d_b.samples):
+                    assert abs(M[i, j] - pto_ground_cost(sa, sb, w, d_a.task, mode=mode).total) < 1e-12
 
 
 def test_pairwise_matrix_diagonal_zero_for_identical_datasets():

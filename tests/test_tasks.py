@@ -8,6 +8,7 @@ import pytest
 from ptodist.tasks import (
     InfeasibleDecisionError,
     InventoryParams,
+    NegativeCostError,
     TaskDefinition,
     decision_quality,
     decision_regret,
@@ -15,7 +16,9 @@ from ptodist.tasks import (
     fstock,
     inventory_task,
     objective,
+    objective_rows,
     oracle,
+    oracle_batch,
     shortest_path_task,
     solve_inventory_qp_projected_gradient,
     topk_task,
@@ -257,3 +260,70 @@ def test_empirical_lipschitz_probe_is_finite_positive():
     assert 0.0 < k < np.inf
     # deterministic given the seed
     assert k == empirical_lipschitz(t, 5, trials=2000, seed=0)
+
+
+def batch_cases():
+    """(task, stacked labels) per family, with tied labels in each."""
+    rng = np.random.default_rng(41)
+    topk_y = rng.integers(0, 3, size=(40, 6)).astype(float)  # many ties
+    grid_y = rng.choice([1.0, 2.0, 5.0], size=(12, 16))
+    grid_y[:3] = 1.0  # uniform fields: every monotone path ties
+    inv_y = rng.dirichlet(np.ones(5), size=30)
+    inv_y[:3] = 0.2  # uniform demand
+    inv_y[3] = [0.5, 0.0, 0.0, 0.0, 0.5]
+    return [
+        (topk_task(6, 1), topk_y),
+        (topk_task(6, 3), topk_y),
+        (shortest_path_task(4), grid_y),
+        (shortest_path_task(4, neighborhood=4, length_weight=0.5), grid_y),
+        (inventory_task(), inv_y),
+    ]
+
+
+def test_oracle_batch_equals_row_by_row_oracle():
+    for task, Y in batch_cases():
+        Z = oracle_batch(task, Y)
+        rows = np.stack([oracle(task, y) for y in Y])
+        assert np.array_equal(Z, rows), task.kind
+        # each row depends on its own labels only
+        assert np.array_equal(oracle_batch(task, Y[::-1]), rows[::-1]), task.kind
+
+
+def test_objective_rows_equals_checked_objective():
+    rng = np.random.default_rng(43)
+    for task, Y in batch_cases():
+        Z = oracle_batch(task, Y[rng.permutation(len(Y))])  # decisions paired with other labels
+        got = objective_rows(task, Z, Y)
+        assert np.array_equal(got, [objective(task, z, y) for z, y in zip(Z, Y)]), task.kind
+        # the same arithmetic as a per-sample loop, so values do not drift
+        assert np.array_equal(got, [per_sample_objective(task, z, y) for z, y in zip(Z, Y)]), task.kind
+
+
+def per_sample_objective(task, z, y):
+    if task.kind == "topk":
+        return z @ y
+    if task.kind == "shortest_path":
+        return -(z @ y) - task.params.get("length_weight", 0.0) * z.sum()
+    total = 0.0
+    for p, d in zip(y, task.params["demand_values"]):
+        total += p * fstock(task.params["inventory_params"], d, z[0])
+    return -total
+
+
+def test_topk_oracle_batch_keeps_lowest_index_ties():
+    Z = oracle_batch(topk_task(4, 2), np.array([[1.0, 3.0, 3.0, 3.0], [2.0, 2.0, 2.0, 2.0]]))
+    assert np.array_equal(Z, [[0.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
+
+
+def test_shortest_path_oracle_rejects_negative_costs():
+    with pytest.raises(NegativeCostError, match=r"cell cost -1\.0 .*row 0, cell 0"):
+        oracle(shortest_path_task(3), -np.ones(9))
+    y = np.ones(9)
+    y[5] = -4.0
+    with pytest.raises(NegativeCostError, match=r"-4\.0 .*cell 5"):
+        oracle(shortest_path_task(3), y)
+    # the length weight counts: label 1 with weight -2 is a cost of -1
+    with pytest.raises(NegativeCostError, match=r"row 1"):
+        oracle_batch(shortest_path_task(3, length_weight=-2.0), np.array([np.full(9, 3.0), np.ones(9)]))
+    # zero costs are allowed
+    assert validate_decision(shortest_path_task(3), oracle(shortest_path_task(3), np.zeros(9)))

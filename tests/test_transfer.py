@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from ptodist.datagen import PtODataset, gen_topk
+from ptodist import transfer
+from ptodist.datagen import PtODataset, gen_inventory, gen_topk, score_probs
 from ptodist.ground_cost import GroundCostWeights, Sample, decision_aware_distance
 from ptodist.ot_core import Marginal, random_coupling
-from ptodist.tasks import oracle, topk_task
+from ptodist.tasks import decision_regret, oracle, topk_task
 from ptodist.transfer import (
     PredictiveModel,
     estimate_phi,
@@ -47,6 +48,38 @@ def test_mean_regret_perfect_model_is_zero():
     task, ds = linear_topk_dataset(2.0, 1.0)
     model = PredictiveModel("linear", np.array([2.0, 1.0]))
     assert mean_regret(task, model, ds) == 0.0
+
+
+def per_sample_mean_regret(task, theta, dataset):
+    """Mean regret one sample at a time, predictions written out per instance."""
+    total = 0.0
+    for s in dataset.samples:
+        if task.kind == "inventory":
+            mat = theta.reshape(len(task.params["demand_values"]), s.x.size + 1)
+            y_hat = score_probs(mat[:, :-1] @ s.x + mat[:, -1])
+        else:
+            y_hat = theta[0] * s.x + theta[1]
+        total += decision_regret(task, y_hat, s.y)
+    return total / len(dataset.samples)
+
+
+def test_mean_regret_matches_per_sample_reference():
+    rng = np.random.default_rng(9)
+    topk = gen_topk(0.65, n_instances=50, seed=8)  # big enough that summation order shows
+    inv = gen_inventory(1, 2, n_features=2, n_instances=25, seed=3)
+    for _ in range(5):
+        theta = rng.normal(0.0, 2.0, 2)
+        got = mean_regret(topk.task, PredictiveModel("linear", theta), topk)
+        assert got == per_sample_mean_regret(topk.task, theta, topk)  # K=1: bit for bit
+        # the same labels under K=3: the cached optimal quality is recomputed for the new task
+        k3 = topk_task(25, 3)
+        got = mean_regret(k3, PredictiveModel("linear", theta), topk)
+        ref = per_sample_mean_regret(k3, theta, topk)
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+        theta = rng.normal(0.0, 1.0, 15)
+        got = mean_regret(inv.task, PredictiveModel("linear", theta), inv)
+        ref = per_sample_mean_regret(inv.task, theta, inv)
+        assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
 def test_train_budget_validation_and_budget_one():
@@ -137,6 +170,27 @@ def test_weight_sweep_corners_match_single_component_distances():
     dists = [decision_aware_distance(s, target, w_x) for s in sources]
     corner_r2 = dict((tuple((w.alpha_x, w.alpha_y, w.alpha_w)), r2) for w, r2 in rows)[(1.0, 0.0, 0.0)]
     assert abs(corner_r2 - rsquared(list(zip(dists, transfers)))) < 1e-9
+
+
+def test_weight_sweep_trains_target_once(monkeypatch):
+    task = topk_task(10, 1)
+    sources = [gen_topk(g, n_resources=10, n_instances=8, seed=40 + i)
+               for i, g in enumerate((0.0, 0.5, 1.0, 1.3))]
+    target = gen_topk(0.65, n_resources=10, n_instances=8, seed=50)
+    trained = []
+    train = transfer.train_regret_min
+
+    def counting_train(task, dataset, **kwargs):
+        trained.append(dataset)
+        return train(task, dataset, **kwargs)
+
+    monkeypatch.setattr(transfer, "train_regret_min", counting_train)
+    _, records = weight_sweep(task, sources, target, grid_resolution=2, budget=200, seed=1)
+    assert len(trained) == len(sources) + 1
+    assert sum(d is target for d in trained) == 1
+    monkeypatch.undo()
+    for i, (source, rec) in enumerate(zip(sources, records)):
+        assert rec == regret_transferability(task, source, target, budget=200, seed=1, source_id=str(i))
 
 
 def test_weight_sweep_needs_three_sources():
