@@ -8,7 +8,7 @@ Every generator is deterministic given its seeds and stamps provenance
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -235,6 +235,10 @@ def _task_from_json(obj: dict, path) -> TaskDefinition:
         if key not in params:
             raise DatasetFormatError(f"{path}: line 1: task params missing {key!r}")
     if obj["kind"] == "inventory":
+        known = {f.name for f in fields(InventoryParams)}
+        for key in params["inventory_params"]:
+            if key not in known:
+                raise DatasetFormatError(f"{path}: line 1: unknown inventory param {key!r}")
         params["inventory_params"] = InventoryParams(**params["inventory_params"])
         params["demand_values"] = tuple(params["demand_values"])
     return TaskDefinition(obj["kind"], params)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ot_core import CostMatrix, Marginal, solve_exact, solve_sinkhorn
+from .ot_core import CostMatrix, Marginal, SinkhornConvergenceError, solve_exact, solve_sinkhorn
 from .tasks import TaskDefinition, InfeasibleDecisionError, objective, objective_rows, validate_decision
 
 MODES = ("as-written", "symmetrized")
@@ -159,7 +159,11 @@ def decision_aware_distance(
     epsilon: float = 0.01,
     mode: str = "as-written",
 ) -> float:
-    """Optimal-transport dataset distance under the decision-aware ground cost."""
+    """Optimal-transport dataset distance under the decision-aware ground cost.
+
+    Raises ``SinkhornConvergenceError`` (an ``ArithmeticError``) when the
+    Sinkhorn solver stops unconverged.
+    """
     cost = pairwise_cost_matrix(dataset, dataset_prime, w, mode)
     a = Marginal.uniform(len(dataset.samples))
     b = Marginal.uniform(len(dataset_prime.samples))
@@ -167,5 +171,11 @@ def decision_aware_distance(
         _, value = solve_exact(cost, a, b)
         return value
     if solver == "sinkhorn":
-        return solve_sinkhorn(cost, a, b, epsilon=epsilon).cost
+        res = solve_sinkhorn(cost, a, b, epsilon=epsilon)
+        if not res.converged:
+            raise SinkhornConvergenceError(
+                f"Sinkhorn at epsilon {epsilon!r} did not converge: marginal violation "
+                f"{res.marginal_violation:.3e} after {res.iterations} iterations"
+            )
+        return res.cost
     raise ValueError(f"solver must be 'exact' or 'sinkhorn', got {solver!r}")

@@ -1,8 +1,8 @@
 """Discrete optimal transport over precomputed cost matrices.
 
-Exact solutions via assignment (uniform equal-size marginals) or linear
-programming; entropic approximations via Sinkhorn scaling with automatic
-log-domain stabilization.
+Exact solutions via assignment (uniform equal-size marginals) or a sparse
+linear program; entropic approximations via Sinkhorn scaling on a kernel
+stabilized by absorbed log-domain potentials.
 """
 
 from __future__ import annotations
@@ -10,10 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, linprog
 
 MARGINAL_SUM_TOL = 1e-9
 PLAN_MARGINAL_TOL = 1e-6
+# Sinkhorn scalings beyond [1/SCALING_BOUND, SCALING_BOUND] are absorbed into
+# the log-domain potentials
+SCALING_BOUND = 1e30
 
 
 class DimensionMismatchError(ValueError):
@@ -22,6 +24,10 @@ class DimensionMismatchError(ValueError):
 
 class InfeasibleMarginalsError(ValueError):
     """Marginals do not form valid coupled distributions."""
+
+
+class SinkhornConvergenceError(ArithmeticError):
+    """Sinkhorn scaling stopped before its marginal violation fell below tol."""
 
 
 @dataclass(frozen=True)
@@ -126,6 +132,10 @@ def _check_problem(cost: CostMatrix, a: Marginal, b: Marginal) -> None:
 
 def solve_exact(cost: CostMatrix, a: Marginal, b: Marginal) -> tuple[TransportPlan, float]:
     """Exact OT plan and cost, minimizing <plan, cost> over the coupling polytope."""
+    # imported here: scipy.optimize takes most of ``import ptodist``'s time
+    from scipy import sparse
+    from scipy.optimize import linear_sum_assignment, linprog
+
     _check_problem(cost, a, b)
     C = cost.entries
     n, m = C.shape
@@ -146,16 +156,22 @@ def solve_exact(cost: CostMatrix, a: Marginal, b: Marginal) -> tuple[TransportPl
         plan = TransportPlan(P, a, b)
         return plan, transport_cost(plan, cost)
 
-    # general marginals: linear program on the flattened coupling
-    A_rows = np.zeros((n, n * m))
-    for i in range(n):
-        A_rows[i, i * m:(i + 1) * m] = 1.0
-    A_cols = np.zeros((m - 1, n * m))
-    for j in range(m - 1):  # last column constraint is redundant
-        A_cols[j, j::m] = 1.0
-    A_eq = np.vstack([A_rows, A_cols])
+    # general marginals: linear program on the row-major flattened coupling,
+    # one equation per row sum and per column sum but the last (redundant)
+    flat = np.arange(n * m)
+    col = flat % m
+    kept = col < m - 1
+    A_eq = sparse.csc_array(
+        (np.ones(n * m + kept.sum()), (np.concatenate([flat // m, n + col[kept]]),
+                                       np.concatenate([flat, flat[kept]]))),
+        shape=(n + m - 1, n * m),
+    )
     b_eq = np.concatenate([a.weights, b.weights[:-1]])
-    res = linprog(C.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    res = linprog(
+        C.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+        # at HiGHS's default 1e-7 the value can sit ~1e-7 relative above the optimum
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
     if not res.success:
         raise RuntimeError(f"exact OT linear program failed: {res.message}")
     P = res.x.reshape(n, m)
@@ -174,11 +190,13 @@ def solve_sinkhorn(
 ) -> SinkhornResult:
     """Entropically regularized OT via alternating scaling.
 
-    Runs in the log domain whenever epsilon is small relative to the cost
-    scale or the Gibbs kernel underflows. The returned plan is rounded onto
-    the coupling polytope so its marginals hold exactly; ``marginal_violation``
-    reports the scaling loop's residual before rounding. The reported cost is
-    <plan, cost> without the entropy term.
+    The scaling runs on a kernel stabilized by absorbed log-domain
+    potentials, so any epsilon works without underflow. Rows and columns of
+    zero weight carry no mass and are left out of the iteration. The returned
+    plan is rounded onto the coupling polytope so its marginals hold
+    exactly; ``marginal_violation`` reports the scaling loop's residual
+    before rounding. The reported cost is <plan, cost> without the entropy
+    term.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -189,16 +207,11 @@ def solve_sinkhorn(
     _check_problem(cost, a, b)
 
     C = cost.entries
-    use_log = epsilon < 0.01 * max(C.max(), 1e-300)
-    if not use_log:
-        K = np.exp(-C / epsilon)
-        if np.any(K == 0.0):
-            use_log = True
-
-    if use_log:
-        plan_matrix, violation, iters = _sinkhorn_log(C, a.weights, b.weights, epsilon, max_iter, tol)
-    else:
-        plan_matrix, violation, iters = _sinkhorn_scaling(K, a.weights, b.weights, max_iter, tol)
+    rows, cols = a.weights > 0, b.weights > 0
+    plan_matrix = np.zeros_like(C)
+    plan_matrix[np.ix_(rows, cols)], violation, iters = _sinkhorn(
+        C[np.ix_(rows, cols)], a.weights[rows], b.weights[cols], epsilon, max_iter, tol
+    )
 
     converged = violation < tol
     plan_matrix = _round_to_polytope(plan_matrix, a.weights, b.weights)
@@ -212,46 +225,50 @@ def solve_sinkhorn(
     )
 
 
-def _sinkhorn_scaling(K, a, b, max_iter, tol):
-    u = np.ones_like(a)
-    v = np.ones_like(b)
+def _log_scaling(C, log_w, h, epsilon):
+    """Potential that gives the rows of exp((f + h - C)/eps) the sums exp(log_w)."""
+    T = (h[None, :] - C) / epsilon
+    mx = T.max(axis=1)
+    return epsilon * (log_w - mx - np.log(np.exp(T - mx[:, None]).sum(axis=1)))
+
+
+def _sinkhorn(C, a, b, epsilon, max_iter, tol):
+    """Sinkhorn scaling u = a / (K v), v = b / (K^T u) on the stabilized kernel
+    K = exp((f + g - C)/eps), for strictly positive a and b (Schmitzer 2019).
+
+    The plan is u K v throughout. A scaling that leaves
+    [1/SCALING_BOUND, SCALING_BOUND], or is not finite because K v or K^T u
+    underflowed, is recomputed in the log domain from the other side's
+    potential; the scalings are then absorbed into f and g and K is rebuilt.
+    The first half step always runs in the log domain.
+    """
+    log_a, log_b = np.log(a), np.log(b)
+    f, g = np.zeros_like(a), np.zeros_like(b)
+    u, v = np.ones_like(a), np.ones_like(b)
+    K = None
+    lo, hi = 1.0 / SCALING_BOUND, SCALING_BOUND
     violation = np.inf
     it = 0
-    for it in range(1, max_iter + 1):
-        u = a / (K @ v)
-        v = b / (K.T @ u)
-        if it % 10 == 0 or it == max_iter:
-            P = u[:, None] * K * v[None, :]
-            violation = np.abs(P.sum(axis=1) - a).max()
-            if violation < tol:
-                break
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            if K is not None:
+                u = a / (K @ v)
+            if K is None or not (lo <= u.min() and u.max() <= hi):
+                g += epsilon * np.log(v)
+                f = _log_scaling(C, log_a, g, epsilon)
+                K = np.exp((f[:, None] + g[None, :] - C) / epsilon)
+                u, v = np.ones_like(a), np.ones_like(b)
+            v = b / (K.T @ u)
+            if not (lo <= v.min() and v.max() <= hi):
+                f += epsilon * np.log(u)
+                g = _log_scaling(C.T, log_b, f, epsilon)
+                K = np.exp((f[:, None] + g[None, :] - C) / epsilon)
+                u, v = np.ones_like(a), np.ones_like(b)
+            if it % 10 == 0 or it == max_iter:
+                violation = np.abs(u * (K @ v) - a).max()
+                if violation < tol:
+                    break
     P = u[:, None] * K * v[None, :]
-    violation = max(np.abs(P.sum(axis=1) - a).max(), np.abs(P.sum(axis=0) - b).max())
-    return P, violation, it
-
-
-def _sinkhorn_log(C, a, b, epsilon, max_iter, tol):
-    # potentials kept in units of M = -C/epsilon to avoid per-iteration rescaling
-    log_a = np.log(np.maximum(a, 1e-300))
-    log_b = np.log(np.maximum(b, 1e-300))
-    f = np.zeros_like(a)
-    g = np.zeros_like(b)
-    M = -C / epsilon
-    violation = np.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        T = M + g[None, :]
-        mx = T.max(axis=1)
-        f = log_a - (mx + np.log(np.exp(T - mx[:, None]).sum(axis=1)))
-        T = M + f[:, None]
-        mx = T.max(axis=0)
-        g = log_b - (mx + np.log(np.exp(T - mx[None, :]).sum(axis=0)))
-        if it % 10 == 0 or it == max_iter:
-            P = np.exp(M + f[:, None] + g[None, :])
-            violation = np.abs(P.sum(axis=1) - a).max()
-            if violation < tol:
-                break
-    P = np.exp(M + f[:, None] + g[None, :])
     violation = max(np.abs(P.sum(axis=1) - a).max(), np.abs(P.sum(axis=0) - b).max())
     return P, violation, it
 
@@ -266,15 +283,3 @@ def _round_to_polytope(P, a, b):
     if total > 1e-18:
         P = P + np.outer(res_a, res_b) / total
     return P
-
-
-def random_coupling(a: Marginal, b: Marginal, rng: np.random.Generator) -> TransportPlan:
-    """Random valid coupling via iterative proportional fitting of a positive matrix."""
-    n, m = len(a), len(b)
-    P = rng.uniform(0.1, 1.0, size=(n, m))
-    for _ in range(500):
-        P *= (a.weights / P.sum(axis=1))[:, None]
-        P *= (b.weights / P.sum(axis=0))[None, :]
-        if np.abs(P.sum(axis=1) - a.weights).max() < 1e-12:
-            break
-    return TransportPlan(P, a, b)

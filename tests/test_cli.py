@@ -116,6 +116,33 @@ def test_negative_grid_cost_is_numerical_failure(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_dist_sinkhorn_nonconvergence_is_numerical_failure(tmp_path, capsys):
+    paths = []
+    for cost_seed in (1, 2):
+        paths.append(str(tmp_path / f"g{cost_seed}.plds"))
+        assert run_cli(["gen", "--family", "grid", "--instances", "20", "--cost-seed", str(cost_seed),
+                        "--map-seed", "5", "--out", paths[-1]]) == 0
+    capsys.readouterr()
+    # at the default epsilon this pair is still 2e-5 off its marginals after
+    # the default 10 000 iterations
+    code = run_cli(["dist", *paths, "--solver", "sinkhorn"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("numerical failure: Sinkhorn at epsilon 0.01 did not converge")
+    assert "after 10000 iterations" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_dist_sinkhorn_converged_is_not_below_exact(tmp_path, capsys):
+    a = gen_topk_file(tmp_path, "a.plds", 0.0, 1)
+    b = gen_topk_file(tmp_path, "b.plds", 1.0, 2)
+    assert run_cli(["dist", str(a), str(b)]) == 0
+    exact = float(capsys.readouterr().out.splitlines()[-1])
+    assert run_cli(["dist", str(a), str(b), "--solver", "sinkhorn", "--epsilon", "0.1"]) == 0
+    assert float(capsys.readouterr().out.splitlines()[-1]) >= exact - 1e-9
+
+
 def test_transfer_trains_target_once(tmp_path, monkeypatch):
     srcs = [gen_topk_file(tmp_path, f"s{i}.plds", g, 10 + i) for i, g in enumerate((0.0, 0.6, 1.2))]
     tgt = gen_topk_file(tmp_path, "t.plds", 0.65, 30)

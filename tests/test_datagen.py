@@ -185,3 +185,12 @@ def test_read_errors_name_line_and_field(tmp_path):
     (tmp_path / "nok.plds").write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
     with pytest.raises(DatasetFormatError, match=r"nok\.plds: line 1: task params missing 'k'"):
         read_dataset(tmp_path / "nok.plds")
+
+    inv_path = tmp_path / "inv.plds"
+    write_dataset(gen_inventory(1, 2, n_instances=2, seed=0), inv_path)
+    inv_lines = inv_path.read_text().splitlines()
+    header = json.loads(inv_lines[0])
+    header["task"]["params"]["inventory_params"]["c9"] = 1.0
+    (tmp_path / "c9.plds").write_text("\n".join([json.dumps(header)] + inv_lines[1:]) + "\n")
+    with pytest.raises(DatasetFormatError, match=r"c9\.plds: line 1: unknown inventory param 'c9'"):
+        read_dataset(tmp_path / "c9.plds")

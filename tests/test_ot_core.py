@@ -1,17 +1,24 @@
 """Tests for exact and entropic optimal transport solvers."""
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ptodist
+from _reference import log_domain_sinkhorn, random_coupling, replicated_assignment_value
+from ptodist.datagen import gen_inventory
+from ptodist.ground_cost import GroundCostWeights, pairwise_cost_matrix
 from ptodist.ot_core import (
     CostMatrix,
     DimensionMismatchError,
     InfeasibleMarginalsError,
     Marginal,
     TransportPlan,
-    random_coupling,
+    _round_to_polytope,
     solve_exact,
     solve_sinkhorn,
     transport_cost,
@@ -107,6 +114,21 @@ def test_exact_beats_random_couplings():
         for _ in range(100):
             plan = random_coupling(a, b, rng)
             assert value <= transport_cost(plan, C) + 1e-9
+
+
+def test_exact_lp_matches_replicated_assignment_on_inventory_pairs():
+    # unequal sizes take the LP path; inventory costs are where loose solver
+    # tolerances showed, up to 1e-7 relative above the optimum
+    rng = np.random.default_rng(29)
+    for n, m in [(30, 36)] * 10 + [(50, 60)] * 10:
+        theta_seed = int(rng.integers(1 << 31))
+        a, b = (gen_inventory(int(rng.integers(1 << 31)), theta_seed, n_instances=size,
+                              seed=int(rng.integers(1 << 31))) for size in (n, m))
+        wx, wy, _ = rng.dirichlet(np.ones(3))
+        cost = pairwise_cost_matrix(a, b, GroundCostWeights(wx, wy, 1.0 - wx - wy))
+        _, value = solve_exact(cost, Marginal.uniform(n), Marginal.uniform(m))
+        ref = replicated_assignment_value(cost.entries)
+        assert abs(value - ref) <= 1e-9 * ref
 
 
 def test_exact_symmetry():
@@ -212,6 +234,45 @@ def test_sinkhorn_log_domain_handles_tiny_epsilon():
     res = solve_sinkhorn(C, a, a, epsilon=1.0, max_iter=5000)
     assert np.all(np.isfinite(res.plan.matrix))
     assert abs(res.cost - 800.0) < 1.0
+
+
+def test_sinkhorn_matches_log_domain_reference():
+    # the stabilized kernel runs the same iteration as plain log-domain
+    # Sinkhorn, whether its scalings stay in range or get absorbed
+    rng = np.random.default_rng(31)
+    for scale, epsilon in [(1.0, 0.5), (1.0, 0.05), (10.0, 0.01), (500.0, 0.3), (45.0, 0.002)]:
+        for _ in range(3):
+            n, m = rng.integers(2, 25, size=2)
+            C = rng.uniform(0.0, scale, (n, m))
+            a = rng.dirichlet(np.ones(n))
+            b = rng.dirichlet(np.ones(m))
+            res = solve_sinkhorn(CostMatrix(C), Marginal(a), Marginal(b), epsilon=epsilon, max_iter=2000)
+            P, iterations = log_domain_sinkhorn(C, a, b, epsilon, 2000, 1e-9)
+            assert res.iterations == iterations
+            assert np.abs(res.plan.matrix - _round_to_polytope(P, a, b)).max() < 1e-12
+
+
+def test_sinkhorn_zero_weight_rows_carry_no_mass():
+    rng = np.random.default_rng(37)
+    C = CostMatrix(rng.uniform(0.0, 1.0, (4, 5)))
+    a = Marginal(np.array([0.5, 0.0, 0.5, 0.0]))
+    b = Marginal(np.array([0.2, 0.2, 0.0, 0.3, 0.3]))
+    res = solve_sinkhorn(C, a, b, epsilon=0.05)
+    assert res.converged
+    assert np.all(res.plan.matrix[[1, 3]] == 0.0)
+    assert np.all(res.plan.matrix[:, 2] == 0.0)
+    assert np.abs(res.plan.matrix.sum(axis=1) - a.weights).max() < 1e-12
+
+
+def test_import_does_not_load_scipy_optimize():
+    # scipy.optimize is imported when an exact solve first needs it
+    env = os.environ.copy()
+    pkg_parent = os.path.dirname(os.path.dirname(os.path.abspath(ptodist.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_parent, env.get("PYTHONPATH")) if p)
+    code = "import sys, ptodist; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_random_coupling_has_valid_marginals():

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from _reference import random_coupling
 from ptodist import transfer
 from ptodist.datagen import PtODataset, gen_inventory, gen_topk, score_probs
 from ptodist.ground_cost import GroundCostWeights, Sample, decision_aware_distance
-from ptodist.ot_core import Marginal, random_coupling
+from ptodist.ot_core import Marginal
 from ptodist.tasks import decision_regret, oracle, topk_task
 from ptodist.transfer import (
     PredictiveModel,
