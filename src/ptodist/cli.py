@@ -15,7 +15,7 @@ import numpy as np
 
 from . import datagen, ground_cost, tasks, transfer
 from .datagen import DatasetFormatError, PtODataset, read_dataset, write_dataset
-from .ground_cost import GroundCostWeights, decision_aware_distance, pto_ground_cost
+from .ground_cost import GroundCostWeights, decision_aware_distance
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -80,51 +80,38 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _load_pair(path_a, path_b) -> tuple[PtODataset, PtODataset]:
-    a = read_dataset(path_a)
-    b = read_dataset(path_b)
-    if a.task != b.task:
-        raise DatasetFormatError(
-            f"task family mismatch: {a.task.kind!r} vs {b.task.kind!r}"
-        )
-    return a, b
+def _read_same_task(paths) -> list[PtODataset]:
+    """Read dataset files that must all hold the first file's task."""
+    datasets = [read_dataset(p) for p in paths]
+    for p, ds in zip(paths[1:], datasets[1:]):
+        if ds.task != datasets[0].task:
+            raise DatasetFormatError(f"{p}: task {ds.task.kind!r} differs from the task of {paths[0]}")
+    return datasets
 
 
 def cmd_dist(args) -> int:
-    a, b = _load_pair(args.dataset_a, args.dataset_b)
+    a, b = _read_same_task([args.dataset_a, args.dataset_b])
     w = _weights_from_args(args)
     value = decision_aware_distance(
         a, b, w, solver=args.solver, epsilon=args.epsilon, mode=args.mode
     )
     print(fmt(value))
     if args.breakdown:
-        rows = []
-        for i, sa in enumerate(a.samples):
-            for j, sb in enumerate(b.samples):
-                cb = pto_ground_cost(sa, sb, w, a.task, mode=args.mode)
-                rows.append(
-                    (i, j, fmt(cb.feature_term), fmt(cb.label_term),
-                     fmt(cb.decision_term), fmt(cb.total))
-                )
+        # one row per pair (i, j), i-major; totals are the entries of the
+        # cost matrix the distance was solved on
+        terms = (*ground_cost.component_matrices(a, b, args.mode),
+                 ground_cost.pairwise_cost_matrix(a, b, w, args.mode).entries)
+        i, j = np.indices(terms[0].shape).reshape(2, -1).tolist()
         _write_csv(
             args.breakdown,
             ["i", "j", "feature_term", "label_term", "decision_term", "total"],
-            rows,
+            zip(i, j, *(map(fmt, t.ravel().tolist()) for t in terms)),
         )
     return EXIT_OK
 
 
-def _read_sources(paths, target: PtODataset) -> list:
-    sources = [read_dataset(p) for p in paths]
-    for p, s in zip(paths, sources):
-        if s.task != target.task:
-            raise DatasetFormatError(f"{p}: task family mismatch with target")
-    return sources
-
-
 def cmd_transfer(args) -> int:
-    target = read_dataset(args.target)
-    sources = _read_sources(args.source, target)
+    target, *sources = _read_same_task([args.target, *args.source])
     w = _weights_from_args(args)
     records = transfer.transfer_records(
         target.task, sources, target,
@@ -151,8 +138,7 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    target = read_dataset(args.target)
-    sources = _read_sources(args.source, target)
+    target, *sources = _read_same_task([args.target, *args.source])
     rows_out, _ = transfer.weight_sweep(
         target.task, sources, target,
         grid_resolution=args.resolution, mode=args.mode,
@@ -168,23 +154,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    source = read_dataset(args.source)
-    target = read_dataset(args.target)
-    if source.task != target.task:
-        raise DatasetFormatError("task family mismatch between source and target")
+    source, target = _read_same_task([args.source, args.target])
     task = source.task
     f = transfer.train_regret_min(task, source, budget=args.budget, seed=args.seed)
     joint = PtODataset(
-        task=task,
-        samples=source.samples + target.samples,
+        task, *(np.concatenate([getattr(source, k), getattr(target, k)]) for k in "XYZ"),
         provenance={"generator": "union", "of": [str(args.source), str(args.target)]},
     )
     f_tilde = transfer.train_regret_min(task, joint, budget=args.budget, seed=args.seed)
     if args.k1 is not None and args.k2 is not None:
         k1, k2 = args.k1, args.k2
     else:
-        label_dim = source.samples[0].y.size
-        k1, k2 = transfer.default_lipschitz_constants(task, label_dim, seed=args.seed)
+        k1, k2 = transfer.default_lipschitz_constants(task, source.Y.shape[1], seed=args.seed)
     lambdas = [float(v) for v in args.lambdas.split(",")]
     all_hold = True
     rows = []

@@ -8,18 +8,17 @@ Every generator is deterministic given its seeds and stamps provenance
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .ground_cost import Sample
 from .tasks import (
-    REQUIRED_PARAMS,
     InventoryParams,
     TaskDefinition,
     inventory_task,
     objective_rows,
-    oracle,
     oracle_batch,
     shortest_path_task,
     topk_task,
@@ -33,35 +32,60 @@ class DatasetFormatError(ValueError):
     """A dataset file does not match the documented record format."""
 
 
+class _SampleError(ValueError):
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"sample {row} {reason}")
+        self.row, self.reason = row, reason
+
+
 @dataclass(frozen=True, eq=False)
 class PtODataset:
-    """Samples of one task, with their features and labels also stacked as
-    arrays ``X`` (n, dx) and ``Y`` (n, dy)."""
+    """Instances of one task, one row each: features ``X`` (n, dx), labels
+    ``Y`` (n, dy) and decisions ``Z`` (n, dz), read-only.
+
+    The arrays are copied and checked once, here: finite values, labels of the
+    task's size (probability vectors for inventory), feasible decisions.
+    """
 
     task: TaskDefinition
-    samples: tuple
+    X: np.ndarray
+    Y: np.ndarray
+    Z: np.ndarray
     provenance: dict
-    X: np.ndarray = field(init=False, repr=False)
-    Y: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.samples) == 0:
-            raise ValueError("dataset must contain at least one sample")
         if not self.provenance:
             raise ValueError("dataset provenance must be nonempty")
-        object.__setattr__(self, "samples", tuple(self.samples))
-        ref = self.samples[0]
-        for i, s in enumerate(self.samples):
-            if s.x.shape != ref.x.shape or s.y.shape != ref.y.shape or s.z.shape != ref.z.shape:
-                raise ValueError(f"sample {i} is dimensionally inhomogeneous")
-            if not validate_decision(self.task, s.z):
-                raise ValueError(f"sample {i} carries an infeasible decision")
-        object.__setattr__(self, "X", np.stack([s.x for s in self.samples]))
-        object.__setattr__(self, "Y", np.stack([s.y for s in self.samples]))
+        X, Y, Z = arrays = [np.array(v, dtype=float) for v in (self.X, self.Y, self.Z)]
+        if not all(v.ndim == 2 and v.shape[1] > 0 and len(v) == len(X) for v in arrays):
+            raise ValueError(f"X, Y and Z must be (samples, values) arrays of equal length, got "
+                             f"shapes {X.shape}, {Y.shape}, {Z.shape}")
+        if len(X) == 0:
+            raise ValueError("dataset must contain at least one sample")
+        # a feasible decision has the task's size, and so do top-K and grid labels
+        inventory = self.task.kind == "inventory"
+        size = len(self.task.params["demand_values"]) if inventory else Z.shape[1]
+        checks = [(~np.isfinite(np.hstack(arrays)).all(axis=1), "has a non-finite value"),
+                  ([not validate_decision(self.task, z) for z in Z], "carries an infeasible decision"),
+                  ([Y.shape[1] != size] * len(Y), f"has {Y.shape[1]} labels, the task takes {size}")]
+        if inventory:
+            checks.append(((Y < 0).any(axis=1) | (np.abs(Y.sum(axis=1) - 1.0) > 1e-9),
+                           "labels are not a probability vector"))
+        for bad, reason in checks:
+            if np.any(bad):
+                raise _SampleError(int(np.argmax(bad)), reason)
+        for name, v in zip("XYZ", arrays):
+            v.flags.writeable = False
+            object.__setattr__(self, name, v)
         object.__setattr__(self, "_optimal_quality", None)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.X)
+
+    @property
+    def samples(self) -> tuple:
+        """The rows as :class:`Sample` views."""
+        return tuple(Sample(x=x, y=y, z=z) for x, y, z in zip(self.X, self.Y, self.Z))
 
     def optimal_quality(self, task: TaskDefinition) -> np.ndarray:
         """g(w*(y_i); y_i) for each sample under ``task`` (read-only).
@@ -92,14 +116,10 @@ def gen_topk(
     if not (1 <= k <= n_resources):
         raise ValueError(f"need 1 <= K <= N, got K={k}, N={n_resources}")
     task = topk_task(n_resources, k)
-    rng = np.random.default_rng(seed)
-    samples = []
-    for _ in range(n_instances):
-        x = np.sort(rng.uniform(-1.0, 1.0, n_resources))
-        y = 10.0 * (x**3 - gamma * x)
-        samples.append(Sample(x=x, y=y, z=oracle(task, y)))
+    X = np.sort(np.random.default_rng(seed).uniform(-1.0, 1.0, (n_instances, n_resources)), axis=1)
+    Y = 10.0 * (X**3 - gamma * X)
     provenance = {"generator": "topk", "gamma": gamma, "seed": seed}
-    return PtODataset(task=task, samples=tuple(samples), provenance=provenance)
+    return PtODataset(task, X, Y, oracle_batch(task, Y), provenance)
 
 
 def _value_noise_field(rng: np.random.Generator, p: int) -> np.ndarray:
@@ -153,23 +173,18 @@ def gen_grid(
     if n_classes < 1:
         raise ValueError("need at least one cell class")
     task = shortest_path_task(p, neighborhood=neighborhood, length_weight=length_weight)
-    cost_rng = np.random.default_rng(class_cost_seed)
-    class_costs = cost_rng.uniform(cost_range[0], cost_range[1], n_classes)
+    class_costs = np.random.default_rng(class_cost_seed).uniform(cost_range[0], cost_range[1], n_classes)
     map_rng = np.random.default_rng(map_seed)
-    denom = max(n_classes - 1, 1)
-    samples = []
-    for _ in range(n_instances):
-        cm = _class_map(map_rng, p, n_classes)
-        x = (cm / denom).ravel()
-        y = class_costs[cm].ravel()
-        samples.append(Sample(x=x, y=y, z=oracle(task, y)))
+    maps = np.array([_class_map(map_rng, p, n_classes) for _ in range(n_instances)], dtype=int)
+    X = (maps / max(n_classes - 1, 1)).reshape(n_instances, p * p)
+    Y = class_costs[maps].reshape(n_instances, p * p)
     provenance = {
         "generator": "grid",
         "class_cost_seed": class_cost_seed,
         "map_seed": map_seed,
         "cost_range": list(cost_range),
     }
-    return PtODataset(task=task, samples=tuple(samples), provenance=provenance)
+    return PtODataset(task, X, Y, oracle_batch(task, Y), provenance)
 
 
 def score_probs(scores: np.ndarray) -> np.ndarray:
@@ -200,48 +215,86 @@ def gen_inventory(
     task = inventory_task(demand_values, inventory_params)
     mu = np.random.default_rng(mean_shift_seed).uniform(-0.5, 0.5, n_features)
     theta = np.random.default_rng(theta_seed).normal(size=(n_features, k))
-    rng = np.random.default_rng(seed)
-    samples = []
-    for _ in range(n_instances):
-        x = rng.normal(mu, 1.0)
-        probs = score_probs((theta.T @ x) ** 2)
-        samples.append(Sample(x=x, y=probs, z=oracle(task, probs)))
+    X = np.random.default_rng(seed).normal(mu, 1.0, (n_instances, n_features))
+    # theta^T x one instance at a time, as a matrix-vector product: a single
+    # X @ theta would sum the features in another order
+    Y = score_probs((theta.T @ X[:, :, None])[..., 0] ** 2)
     provenance = {
         "generator": "inventory",
         "mean_shift_seed": mean_shift_seed,
         "theta_seed": theta_seed,
         "seed": seed,
     }
-    return PtODataset(task=task, samples=tuple(samples), provenance=provenance)
+    return PtODataset(task, X, Y, oracle_batch(task, Y), provenance)
 
 
 def _task_to_json(task: TaskDefinition) -> dict:
     params = dict(task.params)
     if task.kind == "inventory":
-        ip: InventoryParams = params.pop("inventory_params")
-        params["inventory_params"] = {
-            "c0": ip.c0, "q0": ip.q0, "cb": ip.cb, "qb": ip.qb, "ch": ip.ch, "qh": ip.qh,
-        }
+        params["inventory_params"] = asdict(params["inventory_params"])
         params["demand_values"] = list(params["demand_values"])
     return {"kind": task.kind, "params": params}
 
 
-def _task_from_json(obj: dict, path) -> TaskDefinition:
+def _is_number(v) -> bool:
+    """A JSON number that is a finite float; a bool is not one."""
+    return (type(v) is int and abs(v) <= 1e308) or (type(v) is float and math.isfinite(v))
+
+
+# the JSON value of each task param, by task kind; all but the optional ones are required
+_OPTIONAL_PARAMS = ("neighborhood", "count_start", "length_weight")
+_PARAM_TYPES = {
+    "topk": {"n_resources": "an integer", "k": "an integer"},
+    "shortest_path": {"p": "an integer", "neighborhood": "an integer", "count_start": "a boolean",
+                      "length_weight": "a number"},
+    "inventory": {"demand_values": "a list of numbers", "inventory_params": "an object of numbers"},
+}
+
+
+def _json_is(value, kind: str) -> bool:
+    if kind == "a list of numbers":
+        return isinstance(value, list) and all(map(_is_number, value))
+    if kind == "an object of numbers":
+        return isinstance(value, dict) and all(map(_is_number, value.values()))
+    return {"an integer": type(value) is int, "a boolean": type(value) is bool,
+            "a number": _is_number(value)}[kind]
+
+
+def _line_error(path, lineno: int, message) -> DatasetFormatError:
+    return DatasetFormatError(f"{path}: line {lineno}: {message}")
+
+
+def _task_from_json(obj, path) -> TaskDefinition:
+    if not isinstance(obj, dict):
+        raise _line_error(path, 1, "header field 'task' must be an object")
     for key in ("kind", "params"):
         if key not in obj:
-            raise DatasetFormatError(f"{path}: line 1: task missing field {key!r}")
-    params = dict(obj["params"])
-    for key in REQUIRED_PARAMS.get(obj["kind"], ()):
-        if key not in params:
-            raise DatasetFormatError(f"{path}: line 1: task params missing {key!r}")
-    if obj["kind"] == "inventory":
-        known = {f.name for f in fields(InventoryParams)}
-        for key in params["inventory_params"]:
-            if key not in known:
-                raise DatasetFormatError(f"{path}: line 1: unknown inventory param {key!r}")
-        params["inventory_params"] = InventoryParams(**params["inventory_params"])
-        params["demand_values"] = tuple(params["demand_values"])
-    return TaskDefinition(obj["kind"], params)
+            raise _line_error(path, 1, f"task missing field {key!r}")
+    kind, params = obj["kind"], obj["params"]
+    if not isinstance(kind, str) or kind not in _PARAM_TYPES:
+        raise _line_error(path, 1, f"unknown task kind {kind!r}")
+    if not isinstance(params, dict):
+        raise _line_error(path, 1, "task params must be an object")
+    for key in _PARAM_TYPES[kind]:
+        if key not in params and key not in _OPTIONAL_PARAMS:
+            raise _line_error(path, 1, f"task params missing {key!r}")
+    for key, value in params.items():
+        if key not in _PARAM_TYPES[kind]:
+            raise _line_error(path, 1, f"unknown task param {key!r}")
+        if not _json_is(value, _PARAM_TYPES[kind][key]):
+            raise _line_error(path, 1, f"task param {key!r} must be {_PARAM_TYPES[kind][key]}")
+    params = dict(params)
+    try:
+        if kind == "inventory":
+            known = {f.name for f in fields(InventoryParams)}
+            unknown = [key for key in params["inventory_params"] if key not in known]
+            if unknown:
+                raise ValueError(f"unknown inventory param {unknown[0]!r}")
+            params["inventory_params"] = InventoryParams(**params["inventory_params"])
+            params["demand_values"] = tuple(params["demand_values"])
+        return TaskDefinition(kind, params)
+    except ValueError as exc:
+        raise _line_error(path, 1, exc) from exc
 
 
 def write_dataset(dataset: PtODataset, path) -> None:
@@ -249,13 +302,15 @@ def write_dataset(dataset: PtODataset, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         header = {"task": _task_to_json(dataset.task), "provenance": dataset.provenance}
         fh.write(json.dumps(header) + "\n")
-        for s in dataset.samples:
-            rec = {"x": s.x.tolist(), "y": s.y.tolist(), "z": s.z.tolist()}
-            fh.write(json.dumps(rec) + "\n")
+        for x, y, z in zip(dataset.X.tolist(), dataset.Y.tolist(), dataset.Z.tolist()):
+            fh.write(json.dumps({"x": x, "y": y, "z": z}) + "\n")
 
 
 def read_dataset(path) -> PtODataset:
-    """Read a dataset file written by :func:`write_dataset`; bit-exact round trip."""
+    """Read a dataset file written by :func:`write_dataset`; bit-exact round trip.
+
+    A malformed or invalid file raises :class:`DatasetFormatError` naming the line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -263,25 +318,39 @@ def read_dataset(path) -> PtODataset:
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"{path}: line 1: invalid JSON header: {exc}") from exc
+        raise _line_error(path, 1, f"invalid JSON header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise _line_error(path, 1, "header must be a JSON object")
     for key in ("task", "provenance"):
         if key not in header:
-            raise DatasetFormatError(f"{path}: line 1: header missing field {key!r}")
+            raise _line_error(path, 1, f"header missing field {key!r}")
+    if not isinstance(header["provenance"], dict) or not header["provenance"]:
+        raise _line_error(path, 1, "header field 'provenance' must be a nonempty object")
     task = _task_from_json(header["task"], path)
-    samples = []
+    records, linenos = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
+            raise _line_error(path, lineno, f"invalid JSON: {exc}") from exc
+        if not isinstance(rec, dict):
+            raise _line_error(path, lineno, "sample record must be a JSON object")
         for key in ("x", "y", "z"):
             if key not in rec:
-                raise DatasetFormatError(
-                    f"{path}: line {lineno}: sample record missing field {key!r}"
-                )
-        samples.append(Sample(x=np.array(rec["x"]), y=np.array(rec["y"]), z=np.array(rec["z"])))
-    if not samples:
+                raise _line_error(path, lineno, f"sample record missing field {key!r}")
+            if not rec[key] or not _json_is(rec[key], "a list of numbers"):
+                raise _line_error(path, lineno, f"field {key!r} must be a nonempty list of finite numbers")
+            if records and len(rec[key]) != len(records[0][key]):
+                raise _line_error(path, lineno, f"field {key!r} has {len(rec[key])} values, "
+                                                f"line {linenos[0]} has {len(records[0][key])}")
+        records.append(rec)
+        linenos.append(lineno)
+    if not records:
         raise DatasetFormatError(f"{path}: dataset must contain at least one sample")
-    return PtODataset(task=task, samples=tuple(samples), provenance=header["provenance"])
+    X, Y, Z = (np.array([rec[key] for rec in records], dtype=float) for key in "xyz")
+    try:
+        return PtODataset(task, X, Y, Z, header["provenance"])
+    except _SampleError as exc:
+        raise _line_error(path, linenos[exc.row], f"sample {exc.reason}") from exc

@@ -61,13 +61,36 @@ class CostBreakdown:
     total: float
 
 
-def decision_quality_disparity(task: TaskDefinition, z, z_prime, y, y_prime) -> float:
-    """|g(z; y) - g(z'; y')| for two decisions under (possibly different) labels."""
+def _check_feasible(task: TaskDefinition, z, z_prime) -> None:
     if not validate_decision(task, z):
         raise InfeasibleDecisionError("first decision argument is infeasible")
     if not validate_decision(task, z_prime):
         raise InfeasibleDecisionError("second decision argument is infeasible")
+
+
+def decision_quality_disparity(task: TaskDefinition, z, z_prime, y, y_prime) -> float:
+    """|g(z; y) - g(z'; y')| for two decisions under (possibly different) labels."""
+    _check_feasible(task, z, z_prime)
     return abs(objective(task, z, y) - objective(task, z_prime, y_prime))
+
+
+def _components(task, XA, YA, ZA, XB, YB, ZB, mode):
+    # F, L and W between every row of A and every row of B. Decisions are not
+    # checked here: callers pass checked ones.
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    F = np.linalg.norm(XA[:, None, :] - XB[None, :, :], axis=2)
+    L = np.linalg.norm(YA[:, None, :] - YB[None, :, :], axis=2)
+    # W from the objective values g(z_i; y_j) of all decision/label pairings
+    W = np.abs(objective_rows(task, ZA[:, None, :], YB[None, :, :]) - objective_rows(task, ZB, YB))
+    if mode == "symmetrized":
+        g_ba = objective_rows(task, ZB[None, :, :], YA[:, None, :])
+        W = 0.5 * (np.abs(objective_rows(task, ZA, YA)[:, None] - g_ba) + W)
+    return F, L, W
+
+
+def _weighted(w: GroundCostWeights, F, L, W):
+    return w.alpha_x * F + w.alpha_y * L + w.alpha_w * W
 
 
 def pto_ground_cost(
@@ -77,24 +100,16 @@ def pto_ground_cost(
     task: TaskDefinition,
     mode: str = "as-written",
 ) -> CostBreakdown:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    """The ground cost between two samples: one entry of :func:`component_matrices`."""
     if s.x.shape != s_prime.x.shape or s.y.shape != s_prime.y.shape or s.z.shape != s_prime.z.shape:
         raise ValueError(
             f"sample dimensions differ: x {s.x.shape} vs {s_prime.x.shape}, "
             f"y {s.y.shape} vs {s_prime.y.shape}, z {s.z.shape} vs {s_prime.z.shape}"
         )
-    feature_term = float(np.linalg.norm(s.x - s_prime.x))
-    label_term = float(np.linalg.norm(s.y - s_prime.y))
-    if mode == "as-written":
-        decision_term = decision_quality_disparity(task, s.z, s_prime.z, s_prime.y, s_prime.y)
-    else:
-        decision_term = 0.5 * (
-            decision_quality_disparity(task, s.z, s_prime.z, s.y, s.y)
-            + decision_quality_disparity(task, s.z, s_prime.z, s_prime.y, s_prime.y)
-        )
-    total = w.alpha_x * feature_term + w.alpha_y * label_term + w.alpha_w * decision_term
-    return CostBreakdown(feature_term, label_term, decision_term, total)
+    _check_feasible(task, s.z, s_prime.z)
+    rows = (v[None, :] for v in (s.x, s.y, s.z, s_prime.x, s_prime.y, s_prime.z))
+    F, L, W = (float(c[0, 0]) for c in _components(task, *rows, mode))
+    return CostBreakdown(F, L, W, _weighted(w, F, L, W))
 
 
 def component_matrices(dataset, dataset_prime, mode: str = "as-written"):
@@ -103,36 +118,8 @@ def component_matrices(dataset, dataset_prime, mode: str = "as-written"):
     Useful when sweeping weights: the total cost matrix for any weights is
     the matching linear combination of these three.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    task = dataset.task
-    A, B = dataset.samples, dataset_prime.samples
-    n, m = len(A), len(B)
-    F = np.zeros((n, m))
-    L = np.zeros((n, m))
-    W = np.zeros((n, m))
-    XA = np.array([a.x for a in A])
-    XB = np.array([b.x for b in B])
-    YA = np.array([a.y for a in A])
-    YB = np.array([b.y for b in B])
-    ZA = np.array([a.z for a in A])
-    ZB = np.array([b.z for b in B])
-    # objective values g(z_i; y_j) for all decision/label pairings; a dataset's
-    # decisions were checked feasible when it was built
-    gAB = objective_rows(task, ZA[:, None, :], YB[None, :, :])
-    gBB = objective_rows(task, ZB, YB)
-    if mode == "symmetrized":
-        gAA = objective_rows(task, ZA, YA)
-        gBA = objective_rows(task, ZB[:, None, :], YA[None, :, :])
-    for i in range(n):
-        F[i] = np.linalg.norm(XA[i][None, :] - XB, axis=1)
-        L[i] = np.linalg.norm(YA[i][None, :] - YB, axis=1)
-        as_written = np.abs(gAB[i] - gBB)
-        if mode == "as-written":
-            W[i] = as_written
-        else:
-            W[i] = 0.5 * (np.abs(gAA[i] - gBA[:, i]) + as_written)
-    return F, L, W
+    return _components(dataset.task, dataset.X, dataset.Y, dataset.Z,
+                       dataset_prime.X, dataset_prime.Y, dataset_prime.Z, mode)
 
 
 def pairwise_cost_matrix(
@@ -147,8 +134,7 @@ def pairwise_cost_matrix(
             f"datasets are from different task families: "
             f"{dataset.task.kind!r} vs {dataset_prime.task.kind!r}"
         )
-    F, L, W = component_matrices(dataset, dataset_prime, mode)
-    return CostMatrix(w.alpha_x * F + w.alpha_y * L + w.alpha_w * W)
+    return CostMatrix(_weighted(w, *component_matrices(dataset, dataset_prime, mode)))
 
 
 def decision_aware_distance(
@@ -165,8 +151,8 @@ def decision_aware_distance(
     Sinkhorn solver stops unconverged.
     """
     cost = pairwise_cost_matrix(dataset, dataset_prime, w, mode)
-    a = Marginal.uniform(len(dataset.samples))
-    b = Marginal.uniform(len(dataset_prime.samples))
+    a = Marginal.uniform(len(dataset))
+    b = Marginal.uniform(len(dataset_prime))
     if solver == "exact":
         _, value = solve_exact(cost, a, b)
         return value

@@ -48,14 +48,6 @@ class InventoryParams:
             raise ValueError("need q0 > 0 or both qb, qh > 0 for a unique minimizer")
 
 
-# the parameters each task kind cannot do without
-REQUIRED_PARAMS = {
-    "topk": ("n_resources", "k"),
-    "shortest_path": ("p",),
-    "inventory": ("demand_values", "inventory_params"),
-}
-
-
 @dataclass(frozen=True)
 class TaskDefinition:
     kind: str
@@ -244,7 +236,7 @@ def _shortest_path_oracle_batch(task: TaskDefinition, Y: np.ndarray) -> np.ndarr
             f"shortest-path cell cost {float(costs[row, i, j])!r} (label + length_weight) "
             f"at row {row}, cell {i * p + j} is negative; cell costs must be nonnegative"
         )
-    return np.stack([_shortest_path_oracle(task, cost) for cost in costs])
+    return np.array([_shortest_path_oracle(task, cost) for cost in costs]).reshape(len(costs), p * p)
 
 
 def _shortest_path_oracle(task: TaskDefinition, cost: np.ndarray) -> np.ndarray:
@@ -341,55 +333,3 @@ def empirical_lipschitz(
             best = max(best, num / den)
     return best
 
-
-def solve_inventory_qp_projected_gradient(
-    params: InventoryParams,
-    demands,
-    probs,
-    steps: int = 200_000,
-    lr: float = 1e-4,
-) -> float:
-    """Test-only cross-check: solve the full joint QP over (z, z_b, z_h).
-
-    Projected gradient descent on the quadratic objective with hinge
-    constraints z_b >= d - z, z_h >= z - d, all variables nonnegative.
-    """
-    demands = np.asarray(demands, dtype=float)
-    probs = np.asarray(probs, dtype=float)
-    k = demands.size
-    z = float(np.mean(demands))
-    zb = np.maximum(demands - z, 0.0)
-    zh = np.maximum(z - demands, 0.0)
-
-    def project(z, zb, zh):
-        # cyclic projection onto the coupled half-spaces; the pairwise
-        # projections are what transmit the hinge forces onto z
-        for _ in range(50):
-            moved = False
-            for i in range(k):
-                gap = (demands[i] - z) - zb[i]
-                if gap > 1e-12:
-                    z += gap / 2
-                    zb[i] += gap / 2
-                    moved = True
-                gap = (z - demands[i]) - zh[i]
-                if gap > 1e-12:
-                    z -= gap / 2
-                    zh[i] += gap / 2
-                    moved = True
-            z = max(z, 0.0)
-            zb = np.maximum(zb, 0.0)
-            zh = np.maximum(zh, 0.0)
-            if not moved:
-                break
-        return z, zb, zh
-
-    for _ in range(steps):
-        gz = params.c0 + params.q0 * z
-        gzb = probs * (params.cb + params.qb * zb)
-        gzh = probs * (params.ch + params.qh * zh)
-        z -= lr * gz
-        zb -= lr * gzb
-        zh -= lr * gzh
-        z, zb, zh = project(z, zb, zh)
-    return z

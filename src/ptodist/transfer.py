@@ -8,18 +8,12 @@ this reliably reaches the regret levels the experiments need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .datagen import PtODataset, score_probs
-from .ground_cost import (
-    CostMatrix,
-    GroundCostWeights,
-    Sample,
-    component_matrices,
-    pairwise_cost_matrix,
-)
+from .ground_cost import CostMatrix, GroundCostWeights, _weighted, component_matrices, pairwise_cost_matrix
 from .ot_core import Marginal, TransportPlan, solve_exact
 from .tasks import TaskDefinition, empirical_lipschitz, objective_rows, oracle_batch
 
@@ -250,14 +244,13 @@ def weight_sweep(
     if any(t is None for t in transfers):
         raise ValueError("transferability undefined for a source (zero target regret)")
     components = [component_matrices(s, target, mode) for s in sources]
-    a_marg = [Marginal.uniform(len(s.samples)) for s in sources]
-    b_marg = Marginal.uniform(len(target.samples))
+    a_marg = [Marginal.uniform(len(s)) for s in sources]
+    b_marg = Marginal.uniform(len(target))
     rows = []
     for w in simplex_grid(grid_resolution):
         dists = []
         for (F, L, W), a in zip(components, a_marg):
-            cost = CostMatrix(w.alpha_x * F + w.alpha_y * L + w.alpha_w * W)
-            _, value = solve_exact(cost, a, b_marg)
+            _, value = solve_exact(CostMatrix(_weighted(w, F, L, W)), a, b_marg)
             dists.append(value)
         r2 = rsquared(list(zip(dists, transfers)))
         rows.append((w, r2))
@@ -276,13 +269,7 @@ def feature_label_pooled_distance(
     pairs, matching the classical supervised-learning view of a dataset. Only
     defined for tasks whose features and labels are aligned element-wise.
     """
-    def pool(d):
-        xs = np.concatenate([s.x for s in d.samples])
-        ys = np.concatenate([s.y for s in d.samples])
-        return xs, ys
-
-    xa, ya = pool(dataset)
-    xb, yb = pool(dataset_prime)
+    xa, ya, xb, yb = (d.ravel() for d in (dataset.X, dataset.Y, dataset_prime.X, dataset_prime.Y))
     if xa.size != ya.size or xb.size != yb.size:
         raise ValueError("pooled feature-label distance needs element-aligned x and y")
     C = alpha_x * np.abs(xa[:, None] - xb[None, :]) + alpha_y * np.abs(ya[:, None] - yb[None, :])
@@ -318,20 +305,14 @@ def _coupled_gaps(task, f_tilde, plan, dataset_a, dataset_b):
 
 def lift_target(task: TaskDefinition, dataset: PtODataset, f: PredictiveModel) -> PtODataset:
     """Replace decisions with those induced by the model's predictions."""
-    decisions = oracle_batch(task, predict_rows(task, f, dataset.X))
-    samples = tuple(Sample(x=s.x, y=s.y, z=z) for s, z in zip(dataset.samples, decisions))
-    prov = dict(dataset.provenance)
-    prov["lifted"] = "model-induced decisions"
-    return PtODataset(task=dataset.task, samples=samples, provenance=prov)
+    return replace(dataset, Z=oracle_batch(task, predict_rows(task, f, dataset.X)),
+                   provenance={**dataset.provenance, "lifted": "model-induced decisions"})
 
 
 def lift_source(task: TaskDefinition, dataset: PtODataset) -> PtODataset:
     """Replace decisions with the oracle decisions for the true labels."""
-    decisions = oracle_batch(task, dataset.Y)
-    samples = tuple(Sample(x=s.x, y=s.y, z=z) for s, z in zip(dataset.samples, decisions))
-    prov = dict(dataset.provenance)
-    prov["lifted"] = "oracle decisions"
-    return PtODataset(task=dataset.task, samples=samples, provenance=prov)
+    return replace(dataset, Z=oracle_batch(task, dataset.Y),
+                   provenance={**dataset.provenance, "lifted": "oracle decisions"})
 
 
 def default_lipschitz_constants(
@@ -376,8 +357,8 @@ def evaluate_bound(
     # rows: target (predicted decisions); cols: source (oracle decisions).
     # As-written mode scores both decisions under the source labels.
     cost = pairwise_cost_matrix(lifted_t, lifted_s, weights, mode="as-written")
-    a = Marginal.uniform(len(lifted_t.samples))
-    b = Marginal.uniform(len(lifted_s.samples))
+    a = Marginal.uniform(len(lifted_t))
+    b = Marginal.uniform(len(lifted_s))
     plan, d_ot = solve_exact(cost, a, b)
 
     big_l = envelope if envelope is not None else float(

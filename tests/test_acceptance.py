@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 
+from _reference import solve_inventory_qp_projected_gradient
 import ptodist
 from ptodist.datagen import (
     gen_grid,
@@ -36,7 +37,6 @@ from ptodist.tasks import (
     objective,
     oracle,
     shortest_path_task,
-    solve_inventory_qp_projected_gradient,
     topk_task,
 )
 from ptodist.transfer import (

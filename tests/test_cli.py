@@ -1,14 +1,19 @@
 """Tests for the command-line interface."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptodist import cli, transfer
 from ptodist.datagen import read_dataset
+from ptodist.ground_cost import GroundCostWeights, pairwise_cost_matrix
 
 
 def run_cli(argv):
@@ -79,6 +84,17 @@ def test_dist_breakdown_and_weights(tmp_path, capsys):
         total = 0.5 * float(r["feature_term"]) + 0.5 * float(r["label_term"])
         assert abs(float(r["total"]) - total) < 1e-12
     assert printed > 0.0
+    # on a 20 x 20 pair at the default weights, the totals read i-major are
+    # the cost matrix the distance is solved on, bit for bit
+    a = gen_topk_file(tmp_path, "a20.plds", 0.0, 1, instances=20, resources=25)
+    b = gen_topk_file(tmp_path, "b20.plds", 1.0, 2, instances=20, resources=25)
+    for mode in ("as-written", "symmetrized"):
+        assert run_cli(["dist", str(a), str(b), "--mode", mode, "--breakdown", str(bd)]) == 0
+        rows = read_rows(bd)
+        assert [(int(r["i"]), int(r["j"])) for r in rows] == [(i, j) for i in range(20) for j in range(20)]
+        w = GroundCostWeights(1 / 3, 1 / 3, 1 / 3)
+        C = pairwise_cost_matrix(read_dataset(a), read_dataset(b), w, mode=mode).entries
+        assert np.array_equal(np.array([float(r["total"]) for r in rows]), C.ravel())
 
 
 def test_dist_task_mismatch_exit_code(tmp_path):
@@ -228,3 +244,97 @@ def test_repro_command_small_config(tmp_path):
                  "weight_sweep.csv", "sweep_transferability.csv", "target_shift_grid.csv"):
         assert (out_dir / name).exists(), name
     assert len(read_rows(out_dir / "weight_sweep.csv")) == 6
+
+
+# --- malformed dataset files --------------------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+NON_OBJECTS = [5, 1.5, "s", None, True, [1.0]]
+NOT_INT = ["3", 1.5, True, None, [1], {"a": 1}, NAN]
+NOT_NUMBER = ["0.5", True, None, [0.5], {"a": 1.0}, NAN, INF, 10**400]
+NOT_NUMBERS = ["s", 5, None, {"a": 1.0}, [], ["s"], [None], [True], [NAN], [-INF], [[1.0]]]
+BAD_ELEMENTS = ["s", None, True, [1.0], {"a": 1.0}, NAN, INF, -INF, -(10**400)]
+# values that each task param must not take
+PARAM_POOLS = {
+    "n_resources": NOT_INT, "k": NOT_INT, "p": NOT_INT, "neighborhood": NOT_INT,
+    "count_start": [1, "true", None, [True], NAN], "length_weight": NOT_NUMBER,
+    "demand_values": NOT_NUMBERS, "inventory_params": NON_OBJECTS,
+}
+FUZZ_GEN = {
+    "topk": ["--family", "topk", "--gamma", "0.5", "--resources", "3"],
+    "grid": ["--family", "grid", "--p", "2"],
+    "inventory": ["--family", "inventory"],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {}
+    for family, argv in FUZZ_GEN.items():
+        path = root / f"{family}.plds"
+        assert run_cli(["gen", *argv, "--instances", "3", "--out", str(path)]) == 0
+        files[family] = (path, path.read_text().splitlines())
+    return root, files
+
+
+def _mutations(obj, lineno, kind):
+    """(action, path into the line's JSON, values) triples that make the line invalid."""
+    if lineno > 0:
+        fields = [("x",), ("y",), ("z",)]
+        return ([("line", (), NON_OBJECTS)] + [("delete", f, None) for f in fields]
+                + [(action, f, pool) for f in fields
+                   for action, pool in (("set", NOT_NUMBERS), ("element", BAD_ELEMENTS),
+                                        ("ragged", None))])
+    params = obj["task"]["params"]
+    out = [("line", (), NON_OBJECTS), ("delete", ("task",), None), ("delete", ("provenance",), None),
+           ("delete", ("task", "kind"), None), ("delete", ("task", "params"), None),
+           ("set", ("task",), NON_OBJECTS), ("set", ("provenance",), NON_OBJECTS + [{}]),
+           ("set", ("task", "kind"), [5, None, True, [1.0], {"a": 1}]),
+           ("set", ("task", "params"), NON_OBJECTS)]
+    required = {"topk": ("n_resources", "k"), "shortest_path": ("p",), "inventory": tuple(params)}
+    out += [("delete", ("task", "params", key), None) for key in required[kind]]
+    out += [("set", ("task", "params", key), PARAM_POOLS[key]) for key in params]
+    if kind == "inventory":
+        out.append(("element", ("task", "params", "demand_values"), BAD_ELEMENTS))
+        out += [("set", ("task", "params", "inventory_params", key), NOT_NUMBER)
+                for key in params["inventory_params"]]
+    return out
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_malformed_dataset_file_is_a_line_numbered_data_error(fuzz_files, data):
+    root, files = fuzz_files
+    kind = data.draw(st.sampled_from(sorted(files)))
+    path, lines = files[kind]
+    lineno = data.draw(st.integers(0, len(lines) - 1))
+    obj = json.loads(lines[lineno])
+    action, where, pool = data.draw(st.sampled_from(
+        _mutations(obj, lineno, "shortest_path" if kind == "grid" else kind)))
+    value = data.draw(st.sampled_from(pool)) if pool else None
+    if action == "line":
+        obj = value
+    else:
+        parent = obj
+        for key in where[:-1]:
+            parent = parent[key]
+        last = where[-1]
+        if action == "delete":
+            del parent[last]
+        elif action == "set":
+            parent[last] = value
+        elif action == "element":
+            parent[last][data.draw(st.integers(0, len(parent[last]) - 1))] = value
+        elif data.draw(st.booleans()):  # ragged: one value too many or too few
+            parent[last].append(0.5)
+        else:
+            parent[last].pop()
+    bad = root / "bad.plds"
+    bad.write_text("\n".join(lines[:lineno] + [json.dumps(obj)] + lines[lineno + 1:]) + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["dist", str(path), str(bad)])
+    assert code == 2, (action, where, value, err.getvalue())
+    assert f"{bad}: line " in err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _reference import generated_rows
 from ptodist.datagen import (
     DatasetFormatError,
     PtODataset,
@@ -13,7 +14,6 @@ from ptodist.datagen import (
     score_probs,
     write_dataset,
 )
-from ptodist.ground_cost import Sample
 from ptodist.tasks import objective, oracle, topk_task, validate_decision
 
 
@@ -32,14 +32,70 @@ def datasets_equal(a, b):
 
 def test_dataset_validation():
     t = topk_task(2, 1)
-    s = Sample(x=np.zeros(2), y=np.zeros(2), z=np.array([1.0, 0.0]))
+    x, y, z = np.zeros((1, 2)), np.zeros((1, 2)), np.array([[1.0, 0.0]])
     with pytest.raises(ValueError, match="at least one sample"):
-        PtODataset(task=t, samples=(), provenance={"generator": "test"})
+        PtODataset(task=t, X=x[:0], Y=y[:0], Z=z[:0], provenance={"generator": "test"})
     with pytest.raises(ValueError, match="provenance"):
-        PtODataset(task=t, samples=(s,), provenance={})
-    bad = Sample(x=np.zeros(2), y=np.zeros(2), z=np.array([1.0, 1.0]))
+        PtODataset(task=t, X=x, Y=y, Z=z, provenance={})
+    bad = np.array([[1.0, 1.0]])
     with pytest.raises(ValueError, match="infeasible"):
-        PtODataset(task=t, samples=(s, bad), provenance={"generator": "test"})
+        PtODataset(task=t, X=np.zeros((2, 2)), Y=np.zeros((2, 2)), Z=np.vstack([z, bad]),
+                   provenance={"generator": "test"})
+    for empty in (lambda: gen_topk(0.0, n_instances=0), lambda: gen_grid(1, 2, p=3, n_instances=0),
+                  lambda: gen_inventory(1, 2, n_instances=0)):
+        with pytest.raises(ValueError, match="at least one sample"):
+            empty()
+
+
+def test_dataset_rejects_nonfinite_values_and_bad_labels():
+    t = topk_task(3, 1)
+    X, Y = np.zeros((2, 3)), np.ones((2, 3))
+    Z = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    prov = {"generator": "test"}
+    for name, row in (("X", 1), ("Y", 0), ("Z", 1)):
+        for bad in (np.nan, np.inf):
+            arrays = {"X": X.copy(), "Y": Y.copy(), "Z": Z.copy()}
+            arrays[name][row, 2] = bad
+            with pytest.raises(ValueError, match=f"sample {row} has a non-finite value"):
+                PtODataset(task=t, provenance=prov, **arrays)
+    with pytest.raises(ValueError, match="sample 0 has 2 labels, the task takes 3"):
+        PtODataset(task=t, X=X, Y=Y[:, :2], Z=Z, provenance=prov)
+    inv = gen_inventory(1, 2, n_instances=3, seed=0)
+    for bad in ([0.9] * 5, [1.5, -0.5, 0.0, 0.0, 0.0]):
+        Yb = inv.Y.copy()
+        Yb[2] = bad
+        with pytest.raises(ValueError, match="sample 2 labels are not a probability vector"):
+            PtODataset(task=inv.task, X=inv.X, Y=Yb, Z=inv.Z, provenance=prov)
+
+
+def test_dataset_arrays_are_read_only_copies_and_samples_view_them():
+    ds = gen_topk(0.3, n_resources=4, n_instances=3, seed=2)
+    X = ds.X.copy()
+    copy = PtODataset(task=ds.task, X=X, Y=ds.Y, Z=ds.Z, provenance=ds.provenance)
+    X[0, 0] = 5.0
+    assert copy.X[0, 0] != 5.0
+    for name in ("X", "Y", "Z"):
+        assert not getattr(copy, name).flags.writeable
+    assert len(copy) == len(copy.samples) == 3
+    for i, s in enumerate(copy.samples):
+        assert np.shares_memory(s.x, copy.X) and np.array_equal(s.x, copy.X[i])
+        assert np.array_equal(s.y, copy.Y[i]) and np.array_equal(s.z, copy.Z[i])
+        with pytest.raises(ValueError):
+            s.y[0] = 1.0
+
+
+def test_generators_match_per_instance_draws():
+    cases = [
+        (gen_topk(0.65, n_resources=25, n_instances=30, seed=4),
+         generated_rows("topk", 30, gamma=0.65, n_resources=25, seed=4)),
+    ]
+    for n_features in (1, 3, 5):
+        kw = dict(mean_shift_seed=1, theta_seed=2, n_features=n_features, seed=4)
+        cases.append((gen_inventory(n_instances=30, **kw), generated_rows("inventory", 30, **kw)))
+    for ds, (X, Y) in cases:
+        # bit for bit: the batched draws and arithmetic are the per-instance ones
+        assert np.array_equal(ds.X, X) and np.array_equal(ds.Y, Y)
+        assert np.array_equal(ds.Z, np.stack([oracle(ds.task, y) for y in Y]))
 
 
 def test_gen_topk_labeling_and_sorting():
@@ -194,3 +250,45 @@ def test_read_errors_name_line_and_field(tmp_path):
     (tmp_path / "c9.plds").write_text("\n".join([json.dumps(header)] + inv_lines[1:]) + "\n")
     with pytest.raises(DatasetFormatError, match=r"c9\.plds: line 1: unknown inventory param 'c9'"):
         read_dataset(tmp_path / "c9.plds")
+
+
+def test_read_errors_for_values_and_json_types_name_the_line(tmp_path):
+    import json
+
+    path = tmp_path / "inv.plds"
+    write_dataset(gen_inventory(1, 2, n_instances=3, seed=0), path)
+    lines = path.read_text().splitlines()
+
+    def read_with(lineno, text, match):
+        bad = tmp_path / "bad.plds"
+        bad.write_text("\n".join(lines[: lineno - 1] + [text] + lines[lineno:]) + "\n")
+        with pytest.raises(DatasetFormatError, match=match):
+            read_dataset(bad)
+
+    header = json.loads(lines[0])
+    rec = json.loads(lines[2])
+    read_with(1, "5", r"line 1: header must be a JSON object")
+    read_with(1, json.dumps({**header, "task": [1]}), r"line 1: header field 'task' must be an object")
+    read_with(1, json.dumps({**header, "provenance": {}}), r"line 1: .*'provenance' must be a nonempty")
+    params = header["task"]["params"]
+    for bad_params, match in (
+        (5, "task params must be an object"),
+        ({**params, "demand_values": [5.0, "x"]}, "task param 'demand_values' must be a list"),
+        ({**params, "demand_values": [5.0, 5.0]}, "demand values must be strictly increasing"),
+        ({**params, "inventory_params": {"c0": float("nan")}}, "task param 'inventory_params' must be"),
+    ):
+        read_with(1, json.dumps({**header, "task": {"kind": "inventory", "params": bad_params}}),
+                  f"line 1: {match}")
+    read_with(3, "[1.0]", r"line 3: sample record must be a JSON object")
+    read_with(3, json.dumps({**rec, "x": [float("nan")]}), r"line 3: field 'x' must be a nonempty list")
+    read_with(3, json.dumps({**rec, "x": rec["x"] + [0.5]}), r"line 3: field 'x' has 2 values, line 2 has 1")
+    read_with(3, json.dumps({**rec, "y": [0.9] * 5}), r"line 3: sample labels are not a probability vector")
+    read_with(4, json.dumps({**rec, "z": [-1.0]}), r"line 4: sample carries an infeasible decision")
+    topk = tmp_path / "topk.plds"
+    write_dataset(gen_topk(0.0, n_resources=3, n_instances=2, seed=0), topk)
+    t_header, t_rec = (json.loads(v) for v in topk.read_text().splitlines()[:2])
+    for key, value in (("k", 1.5), ("k", True), ("n_resources", "3")):
+        t_header["task"]["params"] = {"n_resources": 3, "k": 1, key: value}
+        topk.write_text("\n".join([json.dumps(t_header), json.dumps(t_rec)]) + "\n")
+        with pytest.raises(DatasetFormatError, match=f"line 1: task param '{key}' must be an integer"):
+            read_dataset(topk)

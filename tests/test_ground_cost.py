@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from _reference import component_matrices_by_row
 from ptodist.datagen import PtODataset, gen_grid, gen_inventory, gen_topk
 from ptodist.ground_cost import (
     GroundCostWeights,
@@ -31,8 +32,9 @@ def random_topk_sample(rng, task):
 
 
 def topk_dataset(rng, task, size):
-    samples = tuple(random_topk_sample(rng, task) for _ in range(size))
-    return PtODataset(task=task, samples=samples, provenance={"generator": "test"})
+    samples = [random_topk_sample(rng, task) for _ in range(size)]
+    X, Y, Z = (np.stack([getattr(s, f) for s in samples]) for f in "xyz")
+    return PtODataset(task=task, X=X, Y=Y, Z=Z, provenance={"generator": "test"})
 
 
 def test_sample_validation():
@@ -196,6 +198,20 @@ def test_pairwise_matrix_matches_entrywise_recompute():
             for i, sa in enumerate(d_a.samples):
                 for j, sb in enumerate(d_b.samples):
                     assert abs(M[i, j] - pto_ground_cost(sa, sb, w, d_a.task, mode=mode).total) < 1e-12
+
+
+def test_component_matrices_equal_row_by_row_reference():
+    pairs = [
+        (gen_topk(0.0, n_instances=7, seed=1), gen_topk(1.0, n_instances=9, seed=2)),
+        (gen_grid(1, 2, p=5, n_instances=6), gen_grid(3, 2, p=5, n_instances=4)),
+        (gen_inventory(1, 2, n_features=3, n_instances=8, seed=1),
+         gen_inventory(2, 2, n_features=3, n_instances=5, seed=2)),
+    ]
+    for d_a, d_b in pairs:
+        for mode in ("as-written", "symmetrized"):
+            expected = component_matrices_by_row(d_a.task, d_a.X, d_a.Y, d_a.Z, d_b.X, d_b.Y, d_b.Z, mode)
+            for got, want in zip(component_matrices(d_a, d_b, mode), expected):
+                assert np.array_equal(got, want)
 
 
 def test_pairwise_matrix_diagonal_zero_for_identical_datasets():

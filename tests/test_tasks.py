@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from _reference import solve_inventory_qp_projected_gradient
 from ptodist.tasks import (
     InfeasibleDecisionError,
     InventoryParams,
@@ -20,7 +21,6 @@ from ptodist.tasks import (
     oracle,
     oracle_batch,
     shortest_path_task,
-    solve_inventory_qp_projected_gradient,
     topk_task,
     validate_decision,
 )

@@ -6,7 +6,7 @@ import pytest
 from _reference import random_coupling
 from ptodist import transfer
 from ptodist.datagen import PtODataset, gen_inventory, gen_topk, score_probs
-from ptodist.ground_cost import GroundCostWeights, Sample, decision_aware_distance
+from ptodist.ground_cost import GroundCostWeights, decision_aware_distance
 from ptodist.ot_core import Marginal
 from ptodist.tasks import decision_regret, oracle, topk_task
 from ptodist.transfer import (
@@ -30,12 +30,10 @@ def linear_topk_dataset(slope, intercept, n_resources=6, n_instances=10, seed=0)
     """Labels are an exact linear function of features: a realizable case."""
     task = topk_task(n_resources, 1)
     rng = np.random.default_rng(seed)
-    samples = []
-    for _ in range(n_instances):
-        x = np.sort(rng.uniform(-1.0, 1.0, n_resources))
-        y = slope * x + intercept
-        samples.append(Sample(x=x, y=y, z=oracle(task, y)))
-    return task, PtODataset(task=task, samples=tuple(samples), provenance={"generator": "linear"})
+    X = np.stack([np.sort(rng.uniform(-1.0, 1.0, n_resources)) for _ in range(n_instances)])
+    Y = slope * X + intercept
+    Z = np.stack([oracle(task, y) for y in Y])
+    return task, PtODataset(task=task, X=X, Y=Y, Z=Z, provenance={"generator": "linear"})
 
 
 def test_model_validation():
