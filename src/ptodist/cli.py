@@ -188,8 +188,13 @@ def cmd_bound(args) -> int:
     return EXIT_OK if all_hold else EXIT_NUMERIC
 
 
+_REPRO_DEFAULTS = {"seed": 7, "budget": 3000, "resolution": 10, "instances": 50}
+
+
 def _read_config(path) -> dict:
-    cfg = {}
+    """The settings of ``repro``: the defaults, overridden by the integer
+    ``key=value`` lines of the config file at ``path``."""
+    cfg = dict(_REPRO_DEFAULTS)
     if path is None:
         return cfg
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -198,17 +203,20 @@ def _read_config(path) -> dict:
             continue
         if "=" not in line:
             raise DatasetFormatError(f"{path}: line {lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        cfg[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in cfg:
+            raise DatasetFormatError(
+                f"{path}: line {lineno}: unknown key {key!r}; known keys are {', '.join(_REPRO_DEFAULTS)}")
+        try:
+            cfg[key] = int(value)
+        except ValueError:
+            raise DatasetFormatError(f"{path}: line {lineno}: {key} must be an integer, got {value!r}") from None
     return cfg
 
 
 def cmd_repro(args) -> int:
     cfg = _read_config(args.config)
-    seed = int(cfg.get("seed", 7))
-    budget = int(cfg.get("budget", 3000))
-    resolution = int(cfg.get("resolution", 10))
-    n_instances = int(cfg.get("instances", 50))
+    seed, budget, resolution, n_instances = (cfg[k] for k in ("seed", "budget", "resolution", "instances"))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ot_core import CostMatrix, Marginal, SinkhornConvergenceError, solve_exact, solve_sinkhorn
-from .tasks import TaskDefinition, InfeasibleDecisionError, objective, objective_rows, validate_decision
+from .tasks import TaskDefinition, InfeasibleDecisionError, objective_rows, validate_decision
 
 MODES = ("as-written", "symmetrized")
 
@@ -71,7 +71,9 @@ def _check_feasible(task: TaskDefinition, z, z_prime) -> None:
 def decision_quality_disparity(task: TaskDefinition, z, z_prime, y, y_prime) -> float:
     """|g(z; y) - g(z'; y')| for two decisions under (possibly different) labels."""
     _check_feasible(task, z, z_prime)
-    return abs(objective(task, z, y) - objective(task, z_prime, y_prime))
+    g = objective_rows(task, np.ravel(z), np.ravel(y))
+    g_prime = objective_rows(task, np.ravel(z_prime), np.ravel(y_prime))
+    return float(abs(g - g_prime))
 
 
 def _components(task, XA, YA, ZA, XB, YB, ZB, mode):

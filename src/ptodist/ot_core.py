@@ -139,10 +139,6 @@ def solve_exact(cost: CostMatrix, a: Marginal, b: Marginal) -> tuple[TransportPl
     _check_problem(cost, a, b)
     C = cost.entries
     n, m = C.shape
-    if n == 1 and m == 1:
-        plan = TransportPlan(np.array([[1.0]]), a, b)
-        return plan, float(C[0, 0])
-
     uniform = (
         n == m
         and np.allclose(a.weights, 1.0 / n, atol=1e-12)

@@ -15,7 +15,6 @@ path cost.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,7 +207,12 @@ def oracle_batch(task: TaskDefinition, Y) -> np.ndarray:
 
     Deterministic, and each row depends only on its own labels. Top-K ties
     break to the lowest index; among inventory candidates of equal cost the
-    first (knots, then segment stationary points) wins.
+    first (knots, then segment stationary points) wins. The shortest path is
+    the one of minimum cost; then of the fewest cells; then, walking back
+    from the sink, of the lowest-index predecessor at each cell. Equivalently,
+    among the cheapest paths with the fewest cells, the one whose cell indices
+    read from sink to source are lexicographically smallest. A path with more
+    cells counts as cheaper only by more than 1e-12 relative.
     """
     Y = np.asarray(Y, dtype=float)
     if task.kind == "topk":
@@ -227,47 +231,44 @@ def oracle(task: TaskDefinition, y) -> np.ndarray:
 
 
 def _shortest_path_oracle_batch(task: TaskDefinition, Y: np.ndarray) -> np.ndarray:
+    # Synchronous Bellman-Ford on every row at once: sweep k gives each cell
+    # its cheapest walk of at most k moves, so a cell's distance last falls at
+    # the fewest moves of its cheapest paths. Its predecessor, from that
+    # sweep, is the first minimum over moves sorted by index offset.
     p = task.params["p"]
     costs = Y.reshape(-1, p, p) + task.params.get("length_weight", 0.0)
     if costs.size and costs.min() < 0:
-        # adjacent negative cells form negative cycles: Dijkstra would never stop
+        # adjacent negative cells form negative cycles: relaxation would never stop
         row, i, j = np.unravel_index(np.argmin(costs), costs.shape)
         raise NegativeCostError(
             f"shortest-path cell cost {float(costs[row, i, j])!r} (label + length_weight) "
             f"at row {row}, cell {i * p + j} is negative; cell costs must be nonnegative"
         )
-    return np.array([_shortest_path_oracle(task, cost) for cost in costs]).reshape(len(costs), p * p)
-
-
-def _shortest_path_oracle(task: TaskDefinition, cost: np.ndarray) -> np.ndarray:
-    p = task.params["p"]
-    count_start = task.params.get("count_start", True)
-    moves = _neighbor_moves(task.params.get("neighborhood", 8))
-    start_cost = cost[0, 0] if count_start else 0.0
-    dist = np.full((p, p), np.inf)
-    dist[0, 0] = start_cost
-    prev: dict[tuple[int, int], tuple[int, int]] = {}
-    pq = [(start_cost, 0, 0)]
-    while pq:
-        d, i, j = heapq.heappop(pq)
-        if d > dist[i, j]:
-            continue
-        for di, dj in moves:
-            ni, nj = i + di, j + dj
-            if 0 <= ni < p and 0 <= nj < p:
-                nd = d + cost[ni, nj]
-                if nd < dist[ni, nj] - 1e-15:
-                    dist[ni, nj] = nd
-                    prev[(ni, nj)] = (i, j)
-                    heapq.heappush(pq, (nd, ni, nj))
-    mask = np.zeros((p, p))
-    cur = (p - 1, p - 1)
+    n = len(costs)
+    moves = sorted(_neighbor_moves(task.params.get("neighborhood", 8)), key=lambda m: m[0] * p + m[1])
+    offsets = np.array([di * p + dj for di, dj in moves])
+    padded = np.full((n, p + 2, p + 2), np.inf)  # an infinite border: no move leaves the grid
+    dist = padded[:, 1:-1, 1:-1]
+    dist[:, 0, 0] = costs[:, 0, 0] if task.params.get("count_start", True) else 0.0
+    pred = np.zeros((n, p, p), dtype=np.intp)  # the source keeps 0, itself
+    cells = np.arange(p * p).reshape(p, p)
     while True:
-        mask[cur] = 1.0
-        if cur == (0, 0):
+        near = np.stack([padded[:, 1 + di : p + 1 + di, 1 + dj : p + 1 + dj] for di, dj in moves], axis=1)
+        new = near.min(axis=1) + costs
+        falls = new < dist * (1.0 - 1e-12)
+        if not falls.any():
             break
-        cur = prev[cur]
-    return mask.ravel()
+        dist[falls] = new[falls]
+        pred[falls] = (cells + offsets[near.argmin(axis=1)])[falls]
+    pred = pred.reshape(n, p * p)
+    Z = np.zeros((n, p * p))
+    rows = np.arange(n)
+    cur = np.full(n, p * p - 1)
+    Z[rows, cur] = 1.0
+    while cur.any():
+        cur = pred[rows, cur]
+        Z[rows, cur] = 1.0
+    return Z
 
 
 def _inventory_oracle_batch(task: TaskDefinition, P: np.ndarray) -> np.ndarray:
@@ -301,7 +302,8 @@ def _inventory_oracle_batch(task: TaskDefinition, P: np.ndarray) -> np.ndarray:
 
 def decision_quality(task: TaskDefinition, y_hat, y) -> float:
     """g(w*(y_hat); y): quality under true costs of the decision induced by predictions."""
-    return objective(task, oracle(task, y_hat), y)
+    # the oracle's decisions are feasible, so they are scored unchecked
+    return float(objective_rows(task, oracle(task, y_hat), np.ravel(y)))
 
 
 def decision_regret(task: TaskDefinition, y_hat, y) -> float:
@@ -319,12 +321,14 @@ def empirical_lipschitz(
     """Largest observed ratio |q(y,y*) - q(z,z*)| / (|y-z| + |y*-z*|).
 
     A measurement of the decision-quality Lipschitz constants over randomized
-    bounded-norm label pairs, not a proof.
+    bounded-norm label pairs, not a proof. Labels are drawn in [-scale, scale],
+    or in [0, scale] for shortest path, whose cell costs must be nonnegative.
     """
     rng = np.random.default_rng(seed)
+    low = 0.0 if task.kind == "shortest_path" else -scale
     best = 0.0
     for _ in range(trials):
-        y, y_star, z, z_star = rng.uniform(-scale, scale, size=(4, label_dim))
+        y, y_star, z, z_star = rng.uniform(low, scale, size=(4, label_dim))
         if task.kind == "inventory":
             y, y_star, z, z_star = (np.abs(v) / np.abs(v).sum() for v in (y, y_star, z, z_star))
         num = abs(decision_quality(task, y, y_star) - decision_quality(task, z, z_star))

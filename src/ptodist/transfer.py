@@ -79,8 +79,12 @@ def predict_rows(task: TaskDefinition, model: PredictiveModel, X) -> np.ndarray:
     """Predicted label vectors, one row per row of stacked features X."""
     X = np.asarray(X, dtype=float)
     theta = model.theta
-    if task.kind in ("topk", "shortest_path"):
+    if task.kind == "topk":
         return theta[0] * X + theta[1]
+    if task.kind == "shortest_path":
+        # clipped at 0: the 8-neighbour grid has cycles, so a negative cell
+        # cost leaves shortest paths undefined
+        return np.maximum(theta[0] * X + theta[1], 0.0)
     k = len(task.params["demand_values"])
     mat = theta.reshape(k, X.shape[1] + 1)
     return score_probs(X @ mat[:, :-1].T + mat[:, -1])

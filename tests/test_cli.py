@@ -122,14 +122,43 @@ def test_negative_grid_cost_is_numerical_failure(tmp_path, capsys):
     g = tmp_path / "g.plds"
     assert run_cli(["gen", "--family", "grid", "--p", "3", "--instances", "3",
                     "--cost-seed", "1", "--map-seed", "2", "--out", str(g)]) == 0
+    # a label below zero, where shortest paths are undefined
+    header, first, *rest = g.read_text().splitlines()
+    record = json.loads(first)
+    record["y"][4] = -1.5
+    bad = tmp_path / "negative.plds"
+    bad.write_text("\n".join([header, json.dumps(record), *rest]) + "\n")
     capsys.readouterr()
-    # training steps to predictions below zero, where shortest paths are undefined
-    code = run_cli(["transfer", "--source", str(g), "--target", str(g),
+    code = run_cli(["transfer", "--source", str(bad), "--target", str(bad),
                     "--budget", "20", "--out", str(tmp_path / "t.csv")])
     err = capsys.readouterr().err
     assert code == 3
-    assert err.startswith("numerical failure: shortest-path cell cost -")
+    assert err.startswith("numerical failure: shortest-path cell cost -1.5 ")
     assert "Traceback" not in err
+
+
+def test_grid_transfer_sweep_and_bound_finish(tmp_path):
+    # predictions are clipped at 0, so training on grid data never leaves
+    # the nonnegative costs where shortest paths are defined
+    paths = []
+    for seed in range(4):
+        paths.append(str(tmp_path / f"g{seed}.plds"))
+        assert run_cli(["gen", "--family", "grid", "--p", "5", "--instances", "6", "--cost-seed", str(seed),
+                        "--map-seed", str(10 + seed), "--out", paths[-1]]) == 0
+    target, *sources = paths
+    for command in ("transfer", "sweep"):
+        out = tmp_path / f"{command}.csv"
+        args = [command, "--target", target, "--budget", "100", "--out", str(out)]
+        if command == "sweep":
+            args += ["--resolution", "2"]
+        for s in sources:
+            args += ["--source", s]
+        assert run_cli(args) == 0, command
+        assert len(read_rows(out)) == (3 if command == "transfer" else 6)
+    out = tmp_path / "bound.csv"
+    assert run_cli(["bound", "--source", sources[0], "--target", target, "--budget", "100",
+                    "--k1", "1", "--k2", "1", "--out", str(out)]) == 0
+    assert all(r["holds"] == "true" for r in read_rows(out))
 
 
 def test_dist_sinkhorn_nonconvergence_is_numerical_failure(tmp_path, capsys):
@@ -244,6 +273,21 @@ def test_repro_command_small_config(tmp_path):
                  "weight_sweep.csv", "sweep_transferability.csv", "target_shift_grid.csv"):
         assert (out_dir / name).exists(), name
     assert len(read_rows(out_dir / "weight_sweep.csv")) == 6
+
+
+@pytest.mark.parametrize("lines, lineno, message", [
+    (["seed=abc"], 1, "seed must be an integer, got 'abc'"),
+    (["# small", "budget=200", "", "instances=2.5"], 4, "instances must be an integer, got '2.5'"),
+    (["seed=3", "sed=5"], 2, "unknown key 'sed'; known keys are seed, budget, resolution, instances"),
+    (["resolution=2", "resolution"], 2, "expected key=value"),
+])
+def test_repro_config_errors_name_the_line(tmp_path, capsys, lines, lineno, message):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("\n".join(lines) + "\n")
+    assert run_cli(["repro", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"data error: {cfg}: line {lineno}: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 # --- malformed dataset files --------------------------------------------------

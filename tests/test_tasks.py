@@ -1,11 +1,13 @@
 """Tests for task objectives, oracles, and regret, against brute-force oracles."""
 
+import heapq
 import itertools
 
 import numpy as np
 import pytest
 
 from _reference import solve_inventory_qp_projected_gradient
+from ptodist import tasks
 from ptodist.tasks import (
     InfeasibleDecisionError,
     InventoryParams,
@@ -37,14 +39,18 @@ def brute_force_topk(task, y):
     return best
 
 
+def grid_steps(task):
+    """The moves of the task's neighbourhood, written out here."""
+    steps = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)]
+    return steps if task.params.get("neighborhood", 8) == 8 else [s for s in steps if 0 in s]
+
+
 def brute_force_path_cost(task, y):
     """Cheapest corner-to-corner simple path by exhaustive search with pruning."""
     p = task.params["p"]
     lw = task.params.get("length_weight", 0.0)
     cost = y.reshape(p, p) + lw
-    moves = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
-    if task.params.get("neighborhood", 8) == 4:
-        moves = [(-1, 0), (1, 0), (0, -1), (0, 1)]
+    moves = grid_steps(task)
     best = [np.inf]
 
     def dfs(i, j, acc, seen):
@@ -260,6 +266,8 @@ def test_empirical_lipschitz_probe_is_finite_positive():
     assert 0.0 < k < np.inf
     # deterministic given the seed
     assert k == empirical_lipschitz(t, 5, trials=2000, seed=0)
+    # grid labels are drawn nonnegative, where shortest paths are defined
+    assert 0.0 < empirical_lipschitz(shortest_path_task(3), 9, trials=200, seed=0) < np.inf
 
 
 def batch_cases():
@@ -327,3 +335,101 @@ def test_shortest_path_oracle_rejects_negative_costs():
         oracle_batch(shortest_path_task(3, length_weight=-2.0), np.array([np.full(9, 3.0), np.ones(9)]))
     # zero costs are allowed
     assert validate_decision(shortest_path_task(3), oracle(shortest_path_task(3), np.zeros(9)))
+
+
+# --- the shortest-path tie rule ----------------------------------------------
+
+def tie_rule_path(task, y):
+    """The path the tie rule picks, by enumerating every simple path.
+
+    Smallest (cost, cells, cell indices from sink to source) wins.
+    """
+    p = task.params["p"]
+    cost = y.reshape(p, p) + task.params.get("length_weight", 0.0)
+    steps = grid_steps(task)
+    best = [None]
+
+    def dfs(path, acc):
+        if best[0] is not None and (acc, len(path)) > best[0][:2]:
+            return
+        i, j = path[-1]
+        if (i, j) == (p - 1, p - 1):
+            key = (acc, len(path), tuple(a * p + b for a, b in reversed(path)))
+            best[0] = key if best[0] is None else min(best[0], key)
+            return
+        for di, dj in steps:
+            nxt = (i + di, j + dj)
+            if 0 <= nxt[0] < p and 0 <= nxt[1] < p and nxt not in path:
+                dfs(path + [nxt], acc + cost[nxt])
+
+    dfs([(0, 0)], cost[0, 0] if task.params.get("count_start", True) else 0.0)
+    z = np.zeros(p * p)
+    z[list(best[0][2])] = 1.0
+    return z
+
+
+def fewest_cells_of_cheapest_paths(task, y):
+    """(cost, cells) of the cheapest path with the fewest cells: Dijkstra on that pair."""
+    p = task.params["p"]
+    cost = y.reshape(p, p) + task.params.get("length_weight", 0.0)
+    steps = grid_steps(task)
+    done = set()
+    heap = [(cost[0, 0] if task.params.get("count_start", True) else 0.0, 1, (0, 0))]
+    while heap:
+        key = heapq.heappop(heap)
+        if key[2] == (p - 1, p - 1):
+            return key[:2]
+        if key[2] in done:
+            continue
+        done.add(key[2])
+        for di, dj in steps:
+            i, j = key[2][0] + di, key[2][1] + dj
+            if 0 <= i < p and 0 <= j < p and (i, j) not in done:
+                heapq.heappush(heap, (key[0] + cost[i, j], key[1] + 1, (i, j)))
+
+
+def sp_variants(p):
+    return [shortest_path_task(p, neighborhood=nb, count_start=cs) for nb in (4, 8) for cs in (True, False)]
+
+
+def test_shortest_path_oracle_follows_tie_rule():
+    # integer fields: path costs are exact, and ties are everywhere
+    rng = np.random.default_rng(53)
+    for p in (2, 3, 4):
+        Y = rng.choice([0.0, 1.0, 2.0], size=(60, p * p), p=[0.4, 0.3, 0.3])
+        for task in sp_variants(p):
+            Z = oracle_batch(task, Y)
+            for y, z in zip(Y, Z):
+                assert np.array_equal(z, tie_rule_path(task, y)), (task.params, y)
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_shortest_path_oracle_ignores_move_order(monkeypatch, order):
+    rng = np.random.default_rng(59)
+    Y = np.concatenate([rng.choice([0.0, 1.0, 2.0], size=(40, 36)), rng.uniform(0.0, 9.0, (10, 36))])
+    expected = [oracle_batch(task, Y) for task in sp_variants(6)]
+    moves = tasks._neighbor_moves
+
+    def permuted(neighborhood):
+        m = list(moves(neighborhood))
+        return m[::-1] if order == "reversed" else [m[i] for i in rng.permutation(len(m))]
+
+    monkeypatch.setattr(tasks, "_neighbor_moves", permuted)
+    for task, Z in zip(sp_variants(6), expected):
+        assert np.array_equal(oracle_batch(task, Y), Z)
+
+
+def test_shortest_path_oracle_on_zero_cost_plateaus():
+    rng = np.random.default_rng(61)
+    for p in (2, 5, 12):
+        for task in sp_variants(p):
+            z = oracle(task, np.zeros(p * p))
+            assert validate_decision(task, z)
+            assert z.sum() == (p if task.params["neighborhood"] == 8 else 2 * p - 1)
+            if task.params["neighborhood"] == 8:
+                assert np.array_equal(z.reshape(p, p), np.eye(p))  # the diagonal
+            Y = rng.choice([0.0, 1.0], size=(10, p * p), p=[0.7, 0.3])
+            for y, z in zip(Y, oracle_batch(task, Y)):
+                assert validate_decision(task, z)
+                start = 0.0 if task.params["count_start"] else y[0]
+                assert (-objective(task, z, y) - start, z.sum()) == fewest_cells_of_cheapest_paths(task, y)

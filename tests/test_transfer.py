@@ -5,7 +5,7 @@ import pytest
 
 from _reference import random_coupling
 from ptodist import transfer
-from ptodist.datagen import PtODataset, gen_inventory, gen_topk, score_probs
+from ptodist.datagen import PtODataset, gen_grid, gen_inventory, gen_topk, score_probs
 from ptodist.ground_cost import GroundCostWeights, decision_aware_distance
 from ptodist.ot_core import Marginal
 from ptodist.tasks import decision_regret, oracle, topk_task
@@ -58,6 +58,8 @@ def per_sample_mean_regret(task, theta, dataset):
             y_hat = score_probs(mat[:, :-1] @ s.x + mat[:, -1])
         else:
             y_hat = theta[0] * s.x + theta[1]
+            if task.kind == "shortest_path":
+                y_hat = np.maximum(y_hat, 0.0)  # grid cell costs are clipped at 0
         total += decision_regret(task, y_hat, s.y)
     return total / len(dataset.samples)
 
@@ -66,6 +68,7 @@ def test_mean_regret_matches_per_sample_reference():
     rng = np.random.default_rng(9)
     topk = gen_topk(0.65, n_instances=50, seed=8)  # big enough that summation order shows
     inv = gen_inventory(1, 2, n_features=2, n_instances=25, seed=3)
+    grid = gen_grid(1, 2, p=6, n_instances=10)
     for _ in range(5):
         theta = rng.normal(0.0, 2.0, 2)
         got = mean_regret(topk.task, PredictiveModel("linear", theta), topk)
@@ -79,6 +82,10 @@ def test_mean_regret_matches_per_sample_reference():
         got = mean_regret(inv.task, PredictiveModel("linear", theta), inv)
         ref = per_sample_mean_regret(inv.task, theta, inv)
         assert abs(got - ref) <= 1e-12 * abs(ref)
+        # predictions below zero are clipped, not an error
+        theta = rng.normal(0.0, 2.0, 2)
+        got = mean_regret(grid.task, PredictiveModel("linear", theta), grid)
+        assert got == per_sample_mean_regret(grid.task, theta, grid)
 
 
 def test_train_budget_validation_and_budget_one():
