@@ -137,6 +137,12 @@ def cmd_transfer(args) -> int:
     return EXIT_OK
 
 
+def _sweep_rows(rows_out):
+    """CSV rows of a weight sweep; an R-squared with no line to fit is ``undefined``."""
+    return [(fmt(w.alpha_x), fmt(w.alpha_y), fmt(w.alpha_w), fmt(r2) if r2 is not None else "undefined")
+            for w, r2 in rows_out]
+
+
 def cmd_sweep(args) -> int:
     target, *sources = _read_same_task([args.target, *args.source])
     rows_out, _ = transfer.weight_sweep(
@@ -147,7 +153,7 @@ def cmd_sweep(args) -> int:
     _write_csv(
         args.out,
         ["alpha_x", "alpha_y", "alpha_w", "r2"],
-        [(fmt(w.alpha_x), fmt(w.alpha_y), fmt(w.alpha_w), fmt(r2)) for w, r2 in rows_out],
+        _sweep_rows(rows_out),
     )
     print(f"wrote {len(rows_out)} sweep rows to {args.out}")
     return EXIT_OK
@@ -189,11 +195,13 @@ def cmd_bound(args) -> int:
 
 
 _REPRO_DEFAULTS = {"seed": 7, "budget": 3000, "resolution": 10, "instances": 50}
+_REPRO_MINIMA = {"seed": 0, "budget": 1, "resolution": 1, "instances": 1}
 
 
 def _read_config(path) -> dict:
     """The settings of ``repro``: the defaults, overridden by the integer
-    ``key=value`` lines of the config file at ``path``."""
+    ``key=value`` lines of the config file at ``path``, each at least its
+    minimum."""
     cfg = dict(_REPRO_DEFAULTS)
     if path is None:
         return cfg
@@ -211,6 +219,8 @@ def _read_config(path) -> dict:
             cfg[key] = int(value)
         except ValueError:
             raise DatasetFormatError(f"{path}: line {lineno}: {key} must be an integer, got {value!r}") from None
+        if cfg[key] < _REPRO_MINIMA[key]:
+            raise DatasetFormatError(f"{path}: line {lineno}: {key} must be at least {_REPRO_MINIMA[key]}, got {value!r}")
     return cfg
 
 
@@ -262,7 +272,7 @@ def cmd_repro(args) -> int:
     _write_csv(
         out_dir / "weight_sweep.csv",
         ["alpha_x", "alpha_y", "alpha_w", "r2"],
-        [(fmt(w.alpha_x), fmt(w.alpha_y), fmt(w.alpha_w), fmt(r2)) for w, r2 in rows_out],
+        _sweep_rows(rows_out),
     )
     _write_csv(
         out_dir / "sweep_transferability.csv",

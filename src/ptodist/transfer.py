@@ -203,13 +203,18 @@ def transfer_records(
     return records
 
 
+def _degenerate(x) -> bool:
+    """Whether values have (numerically) zero variance, leaving no line to fit."""
+    return bool(np.var(x) < 1e-18)
+
+
 def rsquared(points) -> float:
     """R-squared of an ordinary least-squares line through (x, y) points."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 3 or pts.shape[1] != 2:
         raise ValueError("need at least 3 (x, y) points")
     x, y = pts[:, 0], pts[:, 1]
-    if np.var(x) < 1e-18:
+    if _degenerate(x):
         raise ValueError("distance values are degenerate (zero variance)")
     if np.var(y) < 1e-18:
         return 0.0
@@ -240,7 +245,13 @@ def weight_sweep(
     budget: int = 5000,
     seed: int = 0,
 ):
-    """R-squared of transferability against distance for each simplex weight triple."""
+    """R-squared of transferability against distance for each simplex weight triple.
+
+    Returns ``(rows, records)``: one ``(weights, r2)`` row per triple, and the
+    transfer records of the sources. ``r2`` is None at a triple where every
+    source is at the same distance from the target, such as the feature
+    corner for sources that share the target's features.
+    """
     if len(sources) < 3:
         raise ValueError("need at least 3 source datasets")
     records = transfer_records(task, sources, target, budget=budget, seed=seed)
@@ -256,8 +267,7 @@ def weight_sweep(
         for (F, L, W), a in zip(components, a_marg):
             _, value = solve_exact(CostMatrix(_weighted(w, F, L, W)), a, b_marg)
             dists.append(value)
-        r2 = rsquared(list(zip(dists, transfers)))
-        rows.append((w, r2))
+        rows.append((w, None if _degenerate(dists) else rsquared(list(zip(dists, transfers)))))
     return rows, records
 
 

@@ -3,11 +3,11 @@
 from math import lcm
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linear_sum_assignment, minimize, nnls
 
 from ptodist.datagen import score_probs
 from ptodist.ot_core import Marginal, TransportPlan
-from ptodist.tasks import InventoryParams, objective_rows
+from ptodist.tasks import InventoryParams, decision_quality, objective_rows
 
 
 def random_coupling(a: Marginal, b: Marginal, rng: np.random.Generator) -> TransportPlan:
@@ -94,54 +94,56 @@ def log_domain_sinkhorn(C, a, b, epsilon, max_iter, tol):
     return np.exp(M + f[:, None] + g[None, :]), it
 
 
-def solve_inventory_qp_projected_gradient(
-    params: InventoryParams,
-    demands,
-    probs,
-    steps: int = 200_000,
-    lr: float = 1e-4,
-) -> float:
-    """Test-only cross-check: solve the full joint QP over (z, z_b, z_h).
+def lipschitz_ratios_by_trial(task, label_dim, scale, trials, seed):
+    """The ratios of ``empirical_lipschitz``'s probe, one trial and two one-row oracle calls at a time."""
+    rng = np.random.default_rng(seed)
+    low = 0.0 if task.kind == "shortest_path" else -scale
+    ratios = np.zeros(trials)
+    for t in range(trials):
+        y, y_star, z, z_star = rng.uniform(low, scale, size=(4, label_dim))
+        if task.kind == "inventory":
+            y, y_star, z, z_star = (np.abs(v) / np.abs(v).sum() for v in (y, y_star, z, z_star))
+        num = abs(decision_quality(task, y, y_star) - decision_quality(task, z, z_star))
+        den = np.linalg.norm(y - z) + np.linalg.norm(y_star - z_star)
+        if den > 1e-12:
+            ratios[t] = num / den
+    return ratios
 
-    Projected gradient descent on the quadratic objective with hinge
-    constraints z_b >= d - z, z_h >= z - d, all variables nonnegative.
+
+def solve_inventory_qp_kkt(params: InventoryParams, demands, probs) -> tuple[float, float]:
+    """Test-only cross-check: solve the full joint QP over v = (z, z_b, z_h).
+
+    Minimizes c0 z + q0 z^2/2 + sum_j p_j (cb z_b,j + qb z_b,j^2/2 + ch z_h,j + qh z_h,j^2/2)
+    subject to z_b >= d - z, z_h >= z - d and v >= 0, with SLSQP and without the
+    oracle's reduction to scalar z. SLSQP's status is not trusted; the point is
+    certified by the KKT conditions instead. Returns z and the largest of the
+    primal infeasibility, the stationarity residual and the complementary
+    slackness, for multipliers >= 0 fitted by NNLS to both conditions at once.
     """
-    demands = np.asarray(demands, dtype=float)
-    probs = np.asarray(probs, dtype=float)
-    k = demands.size
-    z = float(np.mean(demands))
-    zb = np.maximum(demands - z, 0.0)
-    zh = np.maximum(z - demands, 0.0)
+    d = np.asarray(demands, dtype=float)
+    p = np.asarray(probs, dtype=float)
+    k = d.size
+    one, eye, zero = np.ones((k, 1)), np.eye(k), np.zeros((k, k))
+    # the constraints G v >= h: the two hinges, then v >= 0
+    G = np.vstack([np.hstack([one, eye, zero]), np.hstack([-one, zero, eye]), np.eye(2 * k + 1)])
+    h = np.concatenate([d, -d, np.zeros(2 * k + 1)])
+    lin = np.concatenate([[params.c0], p * params.cb, p * params.ch])
+    quad = np.concatenate([[params.q0], p * params.qb, p * params.qh])
 
-    def project(z, zb, zh):
-        # cyclic projection onto the coupled half-spaces; the pairwise
-        # projections are what transmit the hinge forces onto z
-        for _ in range(50):
-            moved = False
-            for i in range(k):
-                gap = (demands[i] - z) - zb[i]
-                if gap > 1e-12:
-                    z += gap / 2
-                    zb[i] += gap / 2
-                    moved = True
-                gap = (z - demands[i]) - zh[i]
-                if gap > 1e-12:
-                    z -= gap / 2
-                    zh[i] += gap / 2
-                    moved = True
-            z = max(z, 0.0)
-            zb = np.maximum(zb, 0.0)
-            zh = np.maximum(zh, 0.0)
-            if not moved:
-                break
-        return z, zb, zh
+    def grad(v):
+        return lin + quad * v
 
-    for _ in range(steps):
-        gz = params.c0 + params.q0 * z
-        gzb = probs * (params.cb + params.qb * zb)
-        gzh = probs * (params.ch + params.qh * zh)
-        z -= lr * gz
-        zb -= lr * gzb
-        zh -= lr * gzh
-        z, zb, zh = project(z, zb, zh)
-    return z
+    z0 = float(d.mean())
+    v0 = np.concatenate([[z0], np.maximum(d - z0, 0.0), np.maximum(z0 - d, 0.0)])
+    # SLSQP's ftol is absolute and the objective is in the hundreds: scaled by 1/100
+    res = minimize(lambda v: (lin @ v + 0.5 * quad @ (v * v)) / 100.0, v0,
+                   jac=lambda v: grad(v) / 100.0, method="SLSQP",
+                   constraints=[{"type": "ineq", "fun": lambda v: G @ v - h, "jac": lambda v: G}],
+                   options={"ftol": 1e-14, "maxiter": 500})
+    v = res.x
+    slack = G @ v - h
+    g = grad(v)
+    # stationarity G^T mu = grad f and complementarity mu * slack = 0, mu >= 0
+    mu, _ = nnls(np.vstack([G.T, np.diag(slack)]), np.concatenate([g, np.zeros(h.size)]))
+    kkt = max(-slack.min(), np.abs(G.T @ mu - g).max(), np.abs(mu * slack).max())
+    return float(v[0]), float(kkt)

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from _reference import solve_inventory_qp_projected_gradient
+from _reference import solve_inventory_qp_kkt
 import ptodist
 from ptodist.datagen import (
     gen_grid,
@@ -237,15 +237,16 @@ def test_criterion_4_oracle_optimality():
         ok &= -objective(t, z, probs) <= grid_best + 1e-3
     detail.append("inventory-grid")
 
-    # 1-D reduction vs full-QP projected gradient, 20 instances
-    worst_qp = 0.0
+    # 1-D reduction vs the full joint QP, KKT-certified, 20 instances
+    worst_qp = worst_kkt = 0.0
     for _ in range(20):
         probs = rng.dirichlet(np.ones(5))
         z_reduced = oracle(t, probs)[0]
-        z_qp = solve_inventory_qp_projected_gradient(params, demands, probs)
+        z_qp, kkt = solve_inventory_qp_kkt(params, demands, probs)
         worst_qp = max(worst_qp, abs(z_reduced - z_qp))
-    ok &= worst_qp < 1e-3
-    detail.append(f"qp gap {worst_qp:.1e}")
+        worst_kkt = max(worst_kkt, kkt)
+    ok &= worst_kkt < 1e-5 and worst_qp < 1e-5
+    detail.append(f"qp gap {worst_qp:.1e}, kkt {worst_kkt:.1e}")
 
     report(4, "oracle optimality (all tasks)", ok, ", ".join(detail))
 

@@ -156,9 +156,34 @@ def test_grid_transfer_sweep_and_bound_finish(tmp_path):
         assert run_cli(args) == 0, command
         assert len(read_rows(out)) == (3 if command == "transfer" else 6)
     out = tmp_path / "bound.csv"
-    assert run_cli(["bound", "--source", sources[0], "--target", target, "--budget", "100",
-                    "--k1", "1", "--k2", "1", "--out", str(out)]) == 0
-    assert all(r["holds"] == "true" for r in read_rows(out))
+    # given constants, and the probe's (20 000 trials of grid labels)
+    for constants in (["--k1", "1", "--k2", "1"], []):
+        assert run_cli(["bound", "--source", sources[0], "--target", target, "--budget", "100",
+                        *constants, "--out", str(out)]) == 0, constants
+        assert all(r["holds"] == "true" for r in read_rows(out))
+
+
+def test_grid_sweep_on_sources_sharing_the_map_seed(tmp_path):
+    # the sources have the target's features, so at the feature corner every
+    # distance is 0 and that one vertex has no R-squared
+    paths = []
+    for cost_seed in range(1, 5):
+        paths.append(str(tmp_path / f"m{cost_seed}.plds"))
+        assert run_cli(["gen", "--family", "grid", "--p", "6", "--instances", "6", "--map-seed", "7",
+                        "--cost-seed", str(cost_seed), "--out", paths[-1]]) == 0
+    target, *sources = paths
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--target", target, "--budget", "100", "--resolution", "2", "--out", str(out)]
+    for s in sources:
+        args += ["--source", s]
+    assert run_cli(args) == 0
+    rows = read_rows(out)
+    assert len(rows) == 6
+    for r in rows:
+        if r["alpha_x"] == "1":
+            assert r["r2"] == "undefined"
+        else:
+            assert 0.0 <= float(r["r2"]) <= 1.0
 
 
 def test_dist_sinkhorn_nonconvergence_is_numerical_failure(tmp_path, capsys):
@@ -280,6 +305,10 @@ def test_repro_command_small_config(tmp_path):
     (["# small", "budget=200", "", "instances=2.5"], 4, "instances must be an integer, got '2.5'"),
     (["seed=3", "sed=5"], 2, "unknown key 'sed'; known keys are seed, budget, resolution, instances"),
     (["resolution=2", "resolution"], 2, "expected key=value"),
+    (["seed=-1"], 1, "seed must be at least 0, got '-1'"),
+    (["seed=3", "budget=0"], 2, "budget must be at least 1, got '0'"),
+    (["resolution=0"], 1, "resolution must be at least 1, got '0'"),
+    (["# none", "instances=0"], 2, "instances must be at least 1, got '0'"),
 ])
 def test_repro_config_errors_name_the_line(tmp_path, capsys, lines, lineno, message):
     cfg = tmp_path / "cfg.txt"

@@ -2,11 +2,12 @@
 
 import heapq
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from _reference import solve_inventory_qp_projected_gradient
+from _reference import lipschitz_ratios_by_trial, solve_inventory_qp_kkt
 from ptodist import tasks
 from ptodist.tasks import (
     InfeasibleDecisionError,
@@ -208,8 +209,9 @@ def test_inventory_oracle_matches_full_qp():
     for _ in range(5):
         probs = rng.dirichlet(np.ones(5))
         z_reduced = oracle(t, probs)[0]
-        z_qp = solve_inventory_qp_projected_gradient(params, demands, probs)
-        assert abs(z_reduced - z_qp) < 1e-3
+        z_qp, kkt = solve_inventory_qp_kkt(params, demands, probs)
+        assert kkt < 1e-5
+        assert abs(z_reduced - z_qp) < 1e-5
 
 
 def test_decision_quality_and_regret_examples():
@@ -268,6 +270,35 @@ def test_empirical_lipschitz_probe_is_finite_positive():
     assert k == empirical_lipschitz(t, 5, trials=2000, seed=0)
     # grid labels are drawn nonnegative, where shortest paths are defined
     assert 0.0 < empirical_lipschitz(shortest_path_task(3), 9, trials=200, seed=0) < np.inf
+
+
+@pytest.mark.parametrize("task, label_dim", [
+    (topk_task(5, 2), 5),
+    (inventory_task(), 5),
+    (shortest_path_task(3), 9),
+    (shortest_path_task(4, neighborhood=4, count_start=False, length_weight=1.5), 16),
+], ids=["topk", "inventory", "grid", "grid4"])
+def test_empirical_lipschitz_matches_one_trial_loop(task, label_dim):
+    # trial counts on both sides of the chunk edges; a run of n trials is the
+    # first n trials of a longer one
+    reference = lipschitz_ratios_by_trial(task, label_dim, 10.0, 2345, 5)
+    for trials in (1, 99, 100, 101, 2345):
+        ratios = np.concatenate(list(tasks._lipschitz_ratios(task, label_dim, 10.0, trials, 5)))
+        assert np.array_equal(ratios, reference[:trials]), trials
+        assert empirical_lipschitz(task, label_dim, trials=trials, seed=5) == reference[:trials].max()
+    assert empirical_lipschitz(task, label_dim, trials=0) == 0.0
+
+
+def test_empirical_lipschitz_memory_stays_flat():
+    # the probe's peak is one chunk's oracle temporaries: 1.3 MB at 100 trials
+    # a chunk, 2.5 MB at 500 and 95 MB with all 20 000 trials in one call
+    tracemalloc.start()
+    try:
+        empirical_lipschitz(inventory_task(), 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def batch_cases():
