@@ -160,6 +160,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    if (args.k1 is None) != (args.k2 is None):
+        print("bound: error: --k1 and --k2 must be given together", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
     source, target = _read_same_task([args.source, args.target])
     task = source.task
     f = transfer.train_regret_min(task, source, budget=args.budget, seed=args.seed)
@@ -168,7 +171,7 @@ def cmd_bound(args) -> int:
         provenance={"generator": "union", "of": [str(args.source), str(args.target)]},
     )
     f_tilde = transfer.train_regret_min(task, joint, budget=args.budget, seed=args.seed)
-    if args.k1 is not None and args.k2 is not None:
+    if args.k1 is not None:
         k1, k2 = args.k1, args.k2
     else:
         k1, k2 = transfer.default_lipschitz_constants(task, source.Y.shape[1], seed=args.seed)

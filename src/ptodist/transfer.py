@@ -8,12 +8,12 @@ this reliably reaches the regret levels the experiments need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .datagen import PtODataset, score_probs
-from .ground_cost import CostMatrix, GroundCostWeights, _weighted, component_matrices, pairwise_cost_matrix
+from .ground_cost import CostMatrix, GroundCostWeights, _components, _weighted, component_matrices
 from .ot_core import Marginal, TransportPlan, solve_exact
 from .tasks import TaskDefinition, empirical_lipschitz, objective_rows, oracle_batch
 
@@ -39,8 +39,6 @@ class TransferRecord:
     transferability: float | None
     regret_source_on_target: float
     regret_target_on_target: float
-    distance: float | None = None
-    distance_weights: GroundCostWeights | None = None
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,6 @@ class BoundReport:
     alpha_w: float
     phi: float
     envelope: float
-    holds: bool
 
     @property
     def rhs(self) -> float:
@@ -66,6 +63,10 @@ class BoundReport:
             + self.lipschitz_term
             + self.scaled_ot_term
         )
+
+    @property
+    def holds(self) -> bool:
+        return bool(self.lhs <= self.rhs + 1e-9)
 
 
 def model_dim(task: TaskDefinition, feature_dim: int) -> int:
@@ -317,18 +318,6 @@ def _coupled_gaps(task, f_tilde, plan, dataset_a, dataset_b):
     return plan.matrix[I, J], gaps, dx
 
 
-def lift_target(task: TaskDefinition, dataset: PtODataset, f: PredictiveModel) -> PtODataset:
-    """Replace decisions with those induced by the model's predictions."""
-    return replace(dataset, Z=oracle_batch(task, predict_rows(task, f, dataset.X)),
-                   provenance={**dataset.provenance, "lifted": "model-induced decisions"})
-
-
-def lift_source(task: TaskDefinition, dataset: PtODataset) -> PtODataset:
-    """Replace decisions with the oracle decisions for the true labels."""
-    return replace(dataset, Z=oracle_batch(task, dataset.Y),
-                   provenance={**dataset.provenance, "lifted": "oracle decisions"})
-
-
 def default_lipschitz_constants(
     task: TaskDefinition,
     label_dim: int,
@@ -349,53 +338,43 @@ def evaluate_bound(
     lam: float,
     k1: float,
     k2: float,
-    envelope: float | None = None,
 ) -> BoundReport:
     """Check the adaptation bound on one source/target pair.
 
-    The target distribution is lifted with model-induced decisions, the source
-    with oracle decisions; the OT problem uses the weight normalization
-    alpha_W = 1 / (lambda*k1 + k2 + 1). ``envelope`` optionally supplies a
-    user-chosen bound on prediction gaps; by default the largest gap observed
-    over coupled pairs is used.
+    Target rows take the decisions induced by the model's predictions, source
+    rows the oracle decisions for their labels; the OT problem uses the weight
+    normalization alpha_W = 1 / (lambda*k1 + k2 + 1). The envelope L is the
+    largest prediction gap of ``f_tilde`` over coupled pairs.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
     if k1 <= 0 or k2 <= 0:
         raise ValueError("k1 and k2 must be positive")
+    if source.task != target.task:
+        raise ValueError("source and target must be from the same task family")
     alpha_w = 1.0 / (lam * k1 + k2 + 1.0)
     weights = GroundCostWeights(lam * k1 * alpha_w, k2 * alpha_w, alpha_w)
 
-    lifted_t = lift_target(task, target, f)
-    lifted_s = lift_source(task, source)
     # rows: target (predicted decisions); cols: source (oracle decisions).
     # As-written mode scores both decisions under the source labels.
-    cost = pairwise_cost_matrix(lifted_t, lifted_s, weights, mode="as-written")
-    a = Marginal.uniform(len(lifted_t))
-    b = Marginal.uniform(len(lifted_s))
-    plan, d_ot = solve_exact(cost, a, b)
+    z_t = oracle_batch(task, predict_rows(task, f, target.X))
+    z_s = oracle_batch(task, source.Y)
+    F, L, W = _components(task, target.X, target.Y, z_t, source.X, source.Y, z_s, "as-written")
+    plan, d_ot = solve_exact(CostMatrix(_weighted(weights, F, L, W)),
+                             Marginal.uniform(len(target)), Marginal.uniform(len(source)))
 
-    big_l = envelope if envelope is not None else float(
-        _coupled_gaps(task, f_tilde, plan, lifted_t, lifted_s)[1].max())
-    phi = estimate_phi(task, f_tilde, plan, lifted_t, lifted_s, lam)
-
-    lhs = mean_regret(task, f, target)
-    err_s = mean_regret(task, f_tilde, source)
-    err_t = mean_regret(task, f_tilde, target)
-    lipschitz_term = k1 * big_l * phi
-    scaled_ot_term = d_ot / alpha_w
-    rhs = err_s + err_t + lipschitz_term + scaled_ot_term
+    big_l = float(_coupled_gaps(task, f_tilde, plan, target, source)[1].max())
+    phi = estimate_phi(task, f_tilde, plan, target, source, lam)
     return BoundReport(
-        lhs=lhs,
-        joint_regret_source=err_s,
-        joint_regret_target=err_t,
-        lipschitz_term=lipschitz_term,
-        scaled_ot_term=scaled_ot_term,
+        lhs=mean_regret(task, f, target),
+        joint_regret_source=mean_regret(task, f_tilde, source),
+        joint_regret_target=mean_regret(task, f_tilde, target),
+        lipschitz_term=k1 * big_l * phi,
+        scaled_ot_term=d_ot / alpha_w,
         k1=k1,
         k2=k2,
         lam=lam,
         alpha_w=alpha_w,
         phi=phi,
         envelope=big_l,
-        holds=bool(lhs <= rhs + 1e-9),
     )

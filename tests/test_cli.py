@@ -279,6 +279,22 @@ def test_bound_command_perfect_self_pair(tmp_path):
     assert all(r["holds"] == "true" for r in rows)
 
 
+@pytest.mark.parametrize("given", [["--k1", "2.0"], ["--k2", "2.0"]])
+def test_bound_one_lipschitz_constant_is_a_usage_error(tmp_path, capsys, monkeypatch, given):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a model was trained")
+
+    monkeypatch.setattr(transfer, "train_regret_min", no_training)
+    out = tmp_path / "bound.csv"
+    # the dataset files do not exist: reading them first would be a data error (exit 2)
+    code = run_cli(["bound", "--source", str(tmp_path / "missing-a.plds"),
+                    "--target", str(tmp_path / "missing-b.plds"), "--out", str(out), *given])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--k1" in err and "--k2" in err
+    assert not out.exists()
+
+
 def test_cli_rerun_is_bit_identical(tmp_path):
     hashes = []
     for run in range(2):

@@ -1,23 +1,25 @@
 """Tests for training, transferability, weight sweeps, and the bound check."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from _reference import random_coupling
-from ptodist import transfer
+from ptodist import datagen, transfer
 from ptodist.datagen import PtODataset, gen_grid, gen_inventory, gen_topk, score_probs
-from ptodist.ground_cost import GroundCostWeights, decision_aware_distance
-from ptodist.ot_core import Marginal
-from ptodist.tasks import decision_regret, oracle, topk_task
+from ptodist.ground_cost import GroundCostWeights, decision_aware_distance, pairwise_cost_matrix
+from ptodist.ot_core import Marginal, solve_exact
+from ptodist.tasks import decision_regret, oracle, oracle_batch, topk_task
 from ptodist.transfer import (
+    BoundReport,
     PredictiveModel,
     estimate_phi,
     evaluate_bound,
     feature_label_pooled_distance,
-    lift_source,
-    lift_target,
     mean_regret,
-    predict,
+    model_dim,
+    predict_rows,
     regret_transferability,
     rsquared,
     simplex_grid,
@@ -232,16 +234,85 @@ def test_estimate_phi_properties():
         estimate_phi(task, f, plan, a, b, 0.0)
 
 
-def test_lift_helpers():
-    task = topk_task(5, 1)
-    ds = gen_topk(0.8, n_resources=5, n_instances=5, seed=6)
-    model = PredictiveModel("linear", np.array([-1.0, 0.0]))
-    lt = lift_target(task, ds, model)
-    for s_old, s_new in zip(ds.samples, lt.samples):
-        assert np.array_equal(s_new.z, oracle(task, predict(task, model, s_old.x)))
-    ls = lift_source(task, ds)
-    for s_old, s_new in zip(ds.samples, ls.samples):
-        assert np.array_equal(s_new.z, oracle(task, s_old.y))
+def reference_bound(task, f, f_tilde, source, target, lam, k1, k2):
+    """The bound report from datasets that carry the decisions the bound compares:
+    the target's from the model's predictions, the source's from its labels."""
+    lifted_t = PtODataset(task, target.X, target.Y, oracle_batch(task, predict_rows(task, f, target.X)),
+                          provenance={"lifted": "model-induced decisions"})
+    lifted_s = PtODataset(task, source.X, source.Y, oracle_batch(task, source.Y),
+                          provenance={"lifted": "oracle decisions"})
+    alpha_w = 1.0 / (lam * k1 + k2 + 1.0)
+    cost = pairwise_cost_matrix(lifted_t, lifted_s, GroundCostWeights(lam * k1 * alpha_w, k2 * alpha_w, alpha_w))
+    plan, d_ot = solve_exact(cost, Marginal.uniform(len(lifted_t)), Marginal.uniform(len(lifted_s)))
+    I, J = np.nonzero(plan.matrix > 0)
+    gaps = predict_rows(task, f_tilde, lifted_t.X)[I] - predict_rows(task, f_tilde, lifted_s.X)[J]
+    big_l = float(np.linalg.norm(gaps, axis=1).max())
+    phi = estimate_phi(task, f_tilde, plan, lifted_t, lifted_s, lam)
+    return BoundReport(
+        lhs=mean_regret(task, f, target),
+        joint_regret_source=mean_regret(task, f_tilde, source),
+        joint_regret_target=mean_regret(task, f_tilde, target),
+        lipschitz_term=k1 * big_l * phi,
+        scaled_ot_term=d_ot / alpha_w,
+        k1=k1, k2=k2, lam=lam, alpha_w=alpha_w, phi=phi, envelope=big_l,
+    )
+
+
+BOUND_PAIRS = {
+    "topk": lambda: (gen_topk(0.1, n_resources=5, n_instances=8, seed=1),
+                     gen_topk(1.1, n_resources=5, n_instances=8, seed=2)),
+    # unequal sizes: the OT problem goes to the LP, not the assignment
+    "inventory": lambda: (gen_inventory(1, 2, n_features=2, n_instances=10, seed=3),
+                          gen_inventory(4, 2, n_features=2, n_instances=12, seed=5)),
+    "grid": lambda: (gen_grid(1, 2, p=4, n_instances=6), gen_grid(3, 2, p=4, n_instances=6)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(BOUND_PAIRS))
+def test_evaluate_bound_matches_lifted_dataset_reference(family):
+    source, target = BOUND_PAIRS[family]()
+    task = source.task
+    rng = np.random.default_rng(8)
+    dim = model_dim(task, source.X.shape[1])
+    for lam, k1, k2 in ((0.5, 3.0, 3.0), (2.0, 30.0, 30.0), (4.0, 1.0, 7.0)):
+        f, f_tilde = (PredictiveModel("linear", rng.normal(0.0, 1.0, dim)) for _ in range(2))
+        rep = evaluate_bound(task, f, f_tilde, source, target, lam, k1, k2)
+        ref = reference_bound(task, f, f_tilde, source, target, lam, k1, k2)
+        for field in dataclasses.fields(BoundReport):
+            assert getattr(rep, field.name) == getattr(ref, field.name), field.name
+        assert (rep.rhs, rep.holds) == (ref.rhs, ref.holds)
+
+
+def test_evaluate_bound_rejects_mixed_task_families():
+    source = gen_topk(0.5, n_resources=5, n_instances=6, seed=1)
+    target = gen_inventory(1, 2, n_instances=6, seed=2)
+    m = PredictiveModel("linear", np.zeros(2))
+    with pytest.raises(ValueError, match="same task family"):
+        evaluate_bound(source.task, m, m, source, target, lam=1.0, k1=1.0, k2=1.0)
+
+
+def test_evaluate_bound_builds_no_dataset(monkeypatch):
+    source, target = BOUND_PAIRS["topk"]()
+    task = source.task
+    f = PredictiveModel("linear", np.array([-1.0, 0.5]))
+    calls = {"validate_decision": 0, "PtODataset": 0}
+    validate, post_init = datagen.validate_decision, PtODataset.__post_init__
+
+    def counting_validate(*args):
+        calls["validate_decision"] += 1
+        return validate(*args)
+
+    def counting_post_init(self):
+        calls["PtODataset"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(datagen, "validate_decision", counting_validate)
+    monkeypatch.setattr(PtODataset, "__post_init__", counting_post_init)
+    evaluate_bound(task, f, f, source, target, 1.0, 2.0, 2.0)
+    assert calls == {"validate_decision": 0, "PtODataset": 0}
+    # the counters see a dataset being built
+    PtODataset(task, target.X, target.Y, target.Z, provenance={"copy": "target"})
+    assert calls == {"validate_decision": len(target), "PtODataset": 1}
 
 
 def test_evaluate_bound_perfect_model_self_pair():
