@@ -139,18 +139,23 @@ def solve_exact(cost: CostMatrix, a: Marginal, b: Marginal) -> tuple[TransportPl
     _check_problem(cost, a, b)
     C = cost.entries
     n, m = C.shape
+    # an absolute test: a relative one would send marginals up to its rtol
+    # off uniform to the assignment, whose plan then misses them
     uniform = (
         n == m
-        and np.allclose(a.weights, 1.0 / n, atol=1e-12)
-        and np.allclose(b.weights, 1.0 / n, atol=1e-12)
+        and np.abs(a.weights - 1.0 / n).max() <= 1e-12
+        and np.abs(b.weights - 1.0 / n).max() <= 1e-12
     )
     if uniform:
-        # uniform equal-size OT reduces to an assignment problem
+        # uniform equal-size OT reduces to an assignment problem. The plan's
+        # assigned entries first hold their share of the cost, so the value
+        # is the sum transport_cost takes, without an n x n product beside it
         rows, cols = linear_sum_assignment(C)
         P = np.zeros_like(C)
+        P[rows, cols] = (1.0 / n) * C[rows, cols]
+        value = float(np.sum(P))
         P[rows, cols] = 1.0 / n
-        plan = TransportPlan(P, a, b)
-        return plan, transport_cost(plan, cost)
+        return TransportPlan(P, a, b), value
 
     # general marginals: linear program on the row-major flattened coupling,
     # one equation per row sum and per column sum but the last (redundant)
@@ -165,8 +170,12 @@ def solve_exact(cost: CostMatrix, a: Marginal, b: Marginal) -> tuple[TransportPl
     b_eq = np.concatenate([a.weights, b.weights[:-1]])
     res = linprog(
         C.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs",
-        # at HiGHS's default 1e-7 the value can sit ~1e-7 relative above the optimum
-        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+        # at HiGHS's default 1e-7 the value can sit ~1e-7 relative above the
+        # optimum. Presolve is off: a transportation LP gives it little to
+        # remove (rows and columns of zero weight), and it costs time and
+        # memory on every solve
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10,
+                 "presolve": False},
     )
     if not res.success:
         raise RuntimeError(f"exact OT linear program failed: {res.message}")
@@ -214,7 +223,7 @@ def solve_sinkhorn(
     plan = TransportPlan(plan_matrix, a, b)
     return SinkhornResult(
         plan=plan,
-        cost=float(np.sum(plan_matrix * C)),
+        cost=transport_cost(plan, cost),
         converged=converged,
         marginal_violation=float(violation),
         iterations=iters,

@@ -287,9 +287,18 @@ def feature_label_pooled_distance(
     xa, ya, xb, yb = (d.ravel() for d in (dataset.X, dataset.Y, dataset_prime.X, dataset_prime.Y))
     if xa.size != ya.size or xb.size != yb.size:
         raise ValueError("pooled feature-label distance needs element-aligned x and y")
-    C = alpha_x * np.abs(xa[:, None] - xb[None, :]) + alpha_y * np.abs(ya[:, None] - yb[None, :])
+    C = _scaled_abs_diff(xa, xb, alpha_x)
+    C += _scaled_abs_diff(ya, yb, alpha_y)
     _, value = solve_exact(CostMatrix(C), Marginal.uniform(xa.size), Marginal.uniform(xb.size))
     return value
+
+
+def _scaled_abs_diff(u, v, scale):
+    """scale * |u_i - v_j| for all pairs, computed in the one array it returns."""
+    D = np.subtract.outer(u, v)
+    np.abs(D, out=D)
+    D *= scale
+    return D
 
 
 def estimate_phi(

@@ -36,6 +36,20 @@ def replicated_assignment_value(C: np.ndarray) -> float:
     return float(square[rows, cols].sum() / size)
 
 
+def pooled_distance_broadcast(dataset, dataset_prime, alpha_x, alpha_y) -> float:
+    """Pooled feature-label OT value between datasets of equal pooled size.
+
+    The cost is one broadcast expression and the value is <P, C> of the
+    assignment plan, both formed as full n x n arrays.
+    """
+    xa, ya, xb, yb = (d.ravel() for d in (dataset.X, dataset.Y, dataset_prime.X, dataset_prime.Y))
+    C = alpha_x * np.abs(xa[:, None] - xb[None, :]) + alpha_y * np.abs(ya[:, None] - yb[None, :])
+    rows, cols = linear_sum_assignment(C)
+    P = np.zeros_like(C)
+    P[rows, cols] = 1.0 / xa.size
+    return float(np.sum(P * C))
+
+
 def component_matrices_by_row(task, XA, YA, ZA, XB, YB, ZB, mode):
     """Feature, label and decision cost matrices built one row of A at a time."""
     n, m = len(XA), len(XB)

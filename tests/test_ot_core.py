@@ -4,13 +4,14 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import ptodist
 from _reference import log_domain_sinkhorn, random_coupling, replicated_assignment_value
-from ptodist.datagen import gen_inventory
+from ptodist.datagen import gen_grid, gen_inventory, gen_topk
 from ptodist.ground_cost import GroundCostWeights, pairwise_cost_matrix
 from ptodist.ot_core import (
     CostMatrix,
@@ -129,6 +130,49 @@ def test_exact_lp_matches_replicated_assignment_on_inventory_pairs():
         _, value = solve_exact(cost, Marginal.uniform(n), Marginal.uniform(m))
         ref = replicated_assignment_value(cost.entries)
         assert abs(value - ref) <= 1e-9 * ref
+
+
+@pytest.mark.parametrize("family", ["topk", "grid"])
+def test_exact_lp_matches_replicated_assignment_on_unequal_pairs(family):
+    rng = np.random.default_rng(41)
+    for n, m in [(20, 24)] * 3 + [(30, 36)] * 3:
+        if family == "topk":
+            a, b = (gen_topk(float(rng.uniform(0.0, 1.3)), n_instances=size,
+                             seed=int(rng.integers(1 << 31))) for size in (n, m))
+        else:
+            map_seed = int(rng.integers(1 << 31))
+            a, b = (gen_grid(int(rng.integers(1 << 31)), map_seed, p=6, n_instances=size)
+                    for size in (n, m))
+        wx, wy, _ = rng.dirichlet(np.ones(3))
+        cost = pairwise_cost_matrix(a, b, GroundCostWeights(wx, wy, 1.0 - wx - wy))
+        _, value = solve_exact(cost, Marginal.uniform(n), Marginal.uniform(m))
+        ref = replicated_assignment_value(cost.entries)
+        assert abs(value - ref) <= 1e-9 * ref
+
+
+@pytest.mark.parametrize("d", [4e-6, 5e-7])
+def test_exact_near_uniform_marginals_are_met(d):
+    # off uniform by more than 1e-12: the LP solves it, not an assignment
+    C = CostMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    a = Marginal(np.array([0.5 + d, 0.5 - d]))
+    plan, value = solve_exact(C, a, Marginal.uniform(2))
+    assert abs(value - d) <= 1e-9 * d
+    assert np.abs(plan.matrix.sum(axis=1) - a.weights).max() <= 1e-12
+
+
+def test_exact_assignment_allocates_only_its_plan():
+    n = 1000
+    C = CostMatrix(np.random.default_rng(43).uniform(0.0, 1.0, (n, n)))
+    a = Marginal.uniform(n)
+    solve_exact(CostMatrix(np.ones((2, 2))), Marginal.uniform(2), Marginal.uniform(2))  # imports scipy
+    tracemalloc.start()
+    try:
+        plan, value = solve_exact(C, a, a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n * C.entries.itemsize
+    assert value == transport_cost(plan, C)
 
 
 def test_exact_symmetry():

@@ -1,11 +1,12 @@
 """Tests for training, transferability, weight sweeps, and the bound check."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from _reference import random_coupling
+from _reference import pooled_distance_broadcast, random_coupling
 from ptodist import datagen, transfer
 from ptodist.datagen import PtODataset, gen_grid, gen_inventory, gen_topk, score_probs
 from ptodist.ground_cost import GroundCostWeights, decision_aware_distance, pairwise_cost_matrix
@@ -215,6 +216,28 @@ def test_feature_label_pooled_distance_basics():
     d = feature_label_pooled_distance(a, b)
     assert d > 0.0
     assert abs(d - feature_label_pooled_distance(b, a)) < 1e-9
+
+
+@pytest.mark.parametrize("alphas", [(0.5, 0.5), (1.0, 0.0), (0.2, 0.7), (3.0, 0.25)])
+def test_feature_label_pooled_distance_matches_broadcast_reference(alphas):
+    pairs = [(gen_topk(0.0, n_instances=12, seed=1), gen_topk(0.65, n_instances=12, seed=2)),
+             (gen_grid(3, 5, p=5, n_instances=10), gen_grid(4, 5, p=5, n_instances=10))]
+    for a, b in pairs:
+        assert feature_label_pooled_distance(a, b, *alphas) == pooled_distance_broadcast(a, b, *alphas)
+
+
+def test_feature_label_pooled_distance_peak_memory():
+    a = gen_topk(0.0, n_instances=32, seed=1)
+    b = gen_topk(0.65, n_instances=32, seed=2)
+    n = a.X.size
+    feature_label_pooled_distance(a, a)  # imports scipy
+    tracemalloc.start()
+    try:
+        feature_label_pooled_distance(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25 * n * n * a.X.itemsize
 
 
 def test_estimate_phi_properties():
