@@ -261,14 +261,13 @@ def cmd_repro(args) -> int:
         ],
     )
     w_dec = GroundCostWeights(0.5, 0.0, 0.5)
+    pooled_ac, pooled_bc = transfer.feature_label_pooled_distances([d_a, d_b], d_c)
     _write_csv(
         out_dir / "motivating_distances.csv",
         ["pair", "feature_label_pooled", "decision_aware"],
         [
-            ("A_to_C", fmt(transfer.feature_label_pooled_distance(d_a, d_c)),
-             fmt(decision_aware_distance(d_a, d_c, w_dec))),
-            ("B_to_C", fmt(transfer.feature_label_pooled_distance(d_b, d_c)),
-             fmt(decision_aware_distance(d_b, d_c, w_dec))),
+            ("A_to_C", fmt(pooled_ac), fmt(decision_aware_distance(d_a, d_c, w_dec))),
+            ("B_to_C", fmt(pooled_bc), fmt(decision_aware_distance(d_b, d_c, w_dec))),
         ],
     )
 

@@ -38,9 +38,11 @@ class CostMatrix:
         entries = np.asarray(self.entries, dtype=float)
         if entries.ndim != 2 or entries.shape[0] < 1 or entries.shape[1] < 1:
             raise ValueError(f"cost matrix must be 2-d and nonempty, got shape {entries.shape}")
-        if not np.all(np.isfinite(entries)):
+        # min and max propagate NaN: the checks make no array beside the cost
+        lo, hi = entries.min(), entries.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("cost matrix entries must be finite")
-        if np.any(entries < 0):
+        if lo < 0:
             raise ValueError("cost matrix entries must be nonnegative")
         object.__setattr__(self, "entries", entries)
 
@@ -61,6 +63,8 @@ class Marginal:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ValueError(f"marginal must be a nonempty vector, got shape {w.shape}")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("marginal weights must be finite")
         if np.any(w < 0):
             raise ValueError("marginal weights must be nonnegative")
         if abs(w.sum() - 1.0) > MARGINAL_SUM_TOL:
@@ -134,7 +138,7 @@ def solve_exact(cost: CostMatrix, a: Marginal, b: Marginal) -> tuple[TransportPl
     """Exact OT plan and cost, minimizing <plan, cost> over the coupling polytope."""
     # imported here: scipy.optimize takes most of ``import ptodist``'s time
     from scipy import sparse
-    from scipy.optimize import linear_sum_assignment, linprog
+    from scipy.optimize import linprog
 
     _check_problem(cost, a, b)
     C = cost.entries
@@ -147,14 +151,10 @@ def solve_exact(cost: CostMatrix, a: Marginal, b: Marginal) -> tuple[TransportPl
         and np.abs(b.weights - 1.0 / n).max() <= 1e-12
     )
     if uniform:
-        # uniform equal-size OT reduces to an assignment problem. The plan's
-        # assigned entries first hold their share of the cost, so the value
-        # is the sum transport_cost takes, without an n x n product beside it
-        rows, cols = linear_sum_assignment(C)
-        P = np.zeros_like(C)
-        P[rows, cols] = (1.0 / n) * C[rows, cols]
-        value = float(np.sum(P))
-        P[rows, cols] = 1.0 / n
+        # uniform equal-size OT reduces to an assignment problem. The copy
+        # keeps the cost's memory layout, which the value's summation follows
+        P = C.copy(order="K")
+        value = _assign(P)
         return TransportPlan(P, a, b), value
 
     # general marginals: linear program on the row-major flattened coupling,
@@ -183,6 +183,27 @@ def solve_exact(cost: CostMatrix, a: Marginal, b: Marginal) -> tuple[TransportPl
     P = np.maximum(P, 0.0)
     plan = TransportPlan(P, a, b)
     return plan, transport_cost(plan, cost)
+
+
+def _assign(P: np.ndarray) -> float:
+    """Uniform OT on the square cost ``P`` as an assignment; overwrites ``P``
+    with the plan and returns its value.
+
+    The plan's assigned entries first hold their share of the cost and the
+    rest +0.0, so the value is the sum ``transport_cost`` takes, without an
+    n x n array beside ``P``. ``linear_sum_assignment`` releases the GIL, so
+    calls on different arrays can run on threads.
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    n = P.shape[0]
+    rows, cols = linear_sum_assignment(P)
+    shares = (1.0 / n) * P[rows, cols]
+    P.fill(0.0)
+    P[rows, cols] = shares
+    value = float(np.sum(P))
+    P[rows, cols] = 1.0 / n
+    return value
 
 
 def solve_sinkhorn(

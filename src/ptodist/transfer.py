@@ -8,13 +8,14 @@ this reliably reaches the regret levels the experiments need.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datagen import PtODataset, score_probs
 from .ground_cost import CostMatrix, GroundCostWeights, _components, _weighted, component_matrices
-from .ot_core import Marginal, TransportPlan, solve_exact
+from .ot_core import Marginal, TransportPlan, _assign, solve_exact
 from .tasks import TaskDefinition, empirical_lipschitz, objective_rows, oracle_batch
 
 
@@ -272,25 +273,54 @@ def weight_sweep(
     return rows, records
 
 
-def feature_label_pooled_distance(
-    dataset: PtODataset,
-    dataset_prime: PtODataset,
+# Rows of the pooled cost per label-term block: at 1 250 pooled points a
+# block's temporary is 0.6 MB beside the 12.5 MB cost.
+_POOLED_BLOCK_ROWS = 64
+
+
+def feature_label_pooled_distances(
+    sources: list[PtODataset],
+    target: PtODataset,
     alpha_x: float = 0.5,
     alpha_y: float = 0.5,
-) -> float:
-    """Traditional feature-label OT distance over pooled per-resource pairs.
+) -> list[float]:
+    """Traditional feature-label OT distance from each source to the target,
+    over pooled per-resource pairs.
 
     Each instance is unrolled into its individual (feature, label) coordinate
     pairs, matching the classical supervised-learning view of a dataset. Only
     defined for tasks whose features and labels are aligned element-wise.
+
+    Every cost is built on the calling thread (built in worker threads, the
+    costs land in per-thread malloc arenas, which raised peak memory). A
+    source of the target's pooled size is an assignment, solved on its own
+    thread in the array that held its cost; any other size is solved as a
+    linear program.
     """
-    xa, ya, xb, yb = (d.ravel() for d in (dataset.X, dataset.Y, dataset_prime.X, dataset_prime.Y))
+    xb, yb = target.X.ravel(), target.Y.ravel()
+    costs = [CostMatrix(_pooled_cost(s.X.ravel(), s.Y.ravel(), xb, yb, alpha_x, alpha_y))
+             for s in sources]
+    if not costs:
+        return []
+    with ThreadPoolExecutor(len(costs)) as pool:
+        assigned = [pool.submit(_assign, c.entries) if c.n_rows == c.n_cols else None
+                    for c in costs]
+        return [
+            f.result() if f is not None
+            else solve_exact(c, Marginal.uniform(c.n_rows), Marginal.uniform(c.n_cols))[1]
+            for f, c in zip(assigned, costs)
+        ]
+
+
+def _pooled_cost(xa, ya, xb, yb, alpha_x, alpha_y):
+    """alpha_x |xa_i - xb_j| + alpha_y |ya_i - yb_j|, with the label term added
+    in blocks of rows so no second n x m array is formed."""
     if xa.size != ya.size or xb.size != yb.size:
         raise ValueError("pooled feature-label distance needs element-aligned x and y")
     C = _scaled_abs_diff(xa, xb, alpha_x)
-    C += _scaled_abs_diff(ya, yb, alpha_y)
-    _, value = solve_exact(CostMatrix(C), Marginal.uniform(xa.size), Marginal.uniform(xb.size))
-    return value
+    for lo in range(0, xa.size, _POOLED_BLOCK_ROWS):
+        C[lo:lo + _POOLED_BLOCK_ROWS] += _scaled_abs_diff(ya[lo:lo + _POOLED_BLOCK_ROWS], yb, alpha_y)
+    return C
 
 
 def _scaled_abs_diff(u, v, scale):

@@ -36,17 +36,35 @@ def replicated_assignment_value(C: np.ndarray) -> float:
     return float(square[rows, cols].sum() / size)
 
 
+def assignment_zeros_like(C: np.ndarray) -> tuple[np.ndarray, float]:
+    """Uniform assignment plan of a square cost in a fresh ``zeros_like`` array,
+    and its value: the assigned entries first hold their share of the cost,
+    the sum is taken, then they are set to 1/n."""
+    n = C.shape[0]
+    rows, cols = linear_sum_assignment(C)
+    P = np.zeros_like(C)
+    P[rows, cols] = (1.0 / n) * C[rows, cols]
+    value = float(np.sum(P))
+    P[rows, cols] = 1.0 / n
+    return P, value
+
+
+def pooled_cost_broadcast(dataset, dataset_prime, alpha_x, alpha_y) -> np.ndarray:
+    """Pooled feature-label cost as one broadcast expression."""
+    xa, ya, xb, yb = (d.ravel() for d in (dataset.X, dataset.Y, dataset_prime.X, dataset_prime.Y))
+    return alpha_x * np.abs(xa[:, None] - xb[None, :]) + alpha_y * np.abs(ya[:, None] - yb[None, :])
+
+
 def pooled_distance_broadcast(dataset, dataset_prime, alpha_x, alpha_y) -> float:
     """Pooled feature-label OT value between datasets of equal pooled size.
 
     The cost is one broadcast expression and the value is <P, C> of the
     assignment plan, both formed as full n x n arrays.
     """
-    xa, ya, xb, yb = (d.ravel() for d in (dataset.X, dataset.Y, dataset_prime.X, dataset_prime.Y))
-    C = alpha_x * np.abs(xa[:, None] - xb[None, :]) + alpha_y * np.abs(ya[:, None] - yb[None, :])
+    C = pooled_cost_broadcast(dataset, dataset_prime, alpha_x, alpha_y)
     rows, cols = linear_sum_assignment(C)
     P = np.zeros_like(C)
-    P[rows, cols] = 1.0 / xa.size
+    P[rows, cols] = 1.0 / C.shape[0]
     return float(np.sum(P * C))
 
 

@@ -43,7 +43,7 @@ from ptodist.transfer import (
     PredictiveModel,
     default_lipschitz_constants,
     evaluate_bound,
-    feature_label_pooled_distance,
+    feature_label_pooled_distances,
     mean_regret,
     train_regret_min,
     weight_sweep,
@@ -262,8 +262,7 @@ def test_criterion_5_motivating_example():
     regret_a = mean_regret(task, theta_a, d_c)
     regret_b = mean_regret(task, theta_b, d_c)
 
-    fl_ac = feature_label_pooled_distance(d_a, d_c)
-    fl_bc = feature_label_pooled_distance(d_b, d_c)
+    fl_ac, fl_bc = feature_label_pooled_distances([d_a, d_b], d_c)
     fl_rel = abs(fl_ac - fl_bc) / max(fl_ac, fl_bc)
 
     w = GroundCostWeights(0.5, 0.0, 0.5)  # alpha_w >= 0.5, as-written mode

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 import ptodist
-from _reference import log_domain_sinkhorn, random_coupling, replicated_assignment_value
+from _reference import (
+    assignment_zeros_like,
+    log_domain_sinkhorn,
+    random_coupling,
+    replicated_assignment_value,
+)
 from ptodist.datagen import gen_grid, gen_inventory, gen_topk
 from ptodist.ground_cost import GroundCostWeights, pairwise_cost_matrix
 from ptodist.ot_core import (
@@ -40,8 +45,12 @@ def test_cost_matrix_rejects_bad_input():
         CostMatrix(np.array([1.0, 2.0]))  # not 2-d
     with pytest.raises(ValueError):
         CostMatrix(np.array([[1.0, -0.5]]))
-    with pytest.raises(ValueError):
-        CostMatrix(np.array([[np.inf, 1.0]]))
+    # a non-finite entry is reported as such, also beside a negative one
+    for bad in (np.nan, np.inf, -np.inf):
+        for entries in ([[0.0, bad], [1.0, 2.0]], [[-1.0, 1.0], [bad, 2.0]]):
+            with pytest.raises(ValueError, match="finite"):
+                CostMatrix(np.array(entries))
+    assert CostMatrix(np.array([[-0.0, 1.0]])).entries[0, 0] == 0.0
 
 
 def test_marginal_validation():
@@ -49,6 +58,10 @@ def test_marginal_validation():
         Marginal(np.array([0.5, 0.6]))
     with pytest.raises(ValueError):
         Marginal(np.array([-0.1, 1.1]))
+    # NaN passes both the sign and the sum test; it is rejected as not finite
+    for weights in ([np.nan, 0.5, 0.5], [np.inf, 0.5, 0.5], [0.5, 0.5, -np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            Marginal(np.array(weights))
     m = Marginal.uniform(4)
     assert len(m) == 4
     assert np.allclose(m.weights, 0.25)
@@ -173,6 +186,20 @@ def test_exact_assignment_allocates_only_its_plan():
         tracemalloc.stop()
     assert peak < 1.5 * n * n * C.entries.itemsize
     assert value == transport_cost(plan, C)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_exact_assignment_matches_zeros_like_reference(order):
+    # the plan is written into a copy of the cost in its memory layout: the
+    # plan, its layout and the value's bits are those of a zeros_like plan
+    rng = np.random.default_rng(45)
+    for n in (5, 20, 50, 300):
+        C = np.asarray(rng.uniform(0.0, 1.0, (n, n)), order=order)
+        plan, value = solve_exact(CostMatrix(C), Marginal.uniform(n), Marginal.uniform(n))
+        ref_plan, ref_value = assignment_zeros_like(C)
+        assert value == ref_value
+        assert np.array_equal(plan.matrix, ref_plan)
+        assert plan.matrix.strides == ref_plan.strides
 
 
 def test_exact_symmetry():

@@ -6,7 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _reference import pooled_distance_broadcast, random_coupling
+from _reference import (
+    pooled_cost_broadcast,
+    pooled_distance_broadcast,
+    random_coupling,
+    replicated_assignment_value,
+)
 from ptodist import datagen, transfer
 from ptodist.datagen import PtODataset, gen_grid, gen_inventory, gen_topk, score_probs
 from ptodist.ground_cost import GroundCostWeights, decision_aware_distance, pairwise_cost_matrix
@@ -17,7 +22,7 @@ from ptodist.transfer import (
     PredictiveModel,
     estimate_phi,
     evaluate_bound,
-    feature_label_pooled_distance,
+    feature_label_pooled_distances,
     mean_regret,
     model_dim,
     predict_rows,
@@ -212,32 +217,69 @@ def test_weight_sweep_needs_three_sources():
 def test_feature_label_pooled_distance_basics():
     a = gen_topk(0.0, n_resources=5, n_instances=4, seed=1)
     b = gen_topk(1.0, n_resources=5, n_instances=4, seed=2)
-    assert feature_label_pooled_distance(a, a) < 1e-12
-    d = feature_label_pooled_distance(a, b)
+    d_aa, d_ba = feature_label_pooled_distances([a, b], a)
+    assert d_aa < 1e-12
+    (d,) = feature_label_pooled_distances([a], b)
     assert d > 0.0
-    assert abs(d - feature_label_pooled_distance(b, a)) < 1e-9
+    assert abs(d - d_ba) < 1e-9
+    assert feature_label_pooled_distances([], a) == []
 
 
 @pytest.mark.parametrize("alphas", [(0.5, 0.5), (1.0, 0.0), (0.2, 0.7), (3.0, 0.25)])
 def test_feature_label_pooled_distance_matches_broadcast_reference(alphas):
-    pairs = [(gen_topk(0.0, n_instances=12, seed=1), gen_topk(0.65, n_instances=12, seed=2)),
-             (gen_grid(3, 5, p=5, n_instances=10), gen_grid(4, 5, p=5, n_instances=10))]
-    for a, b in pairs:
-        assert feature_label_pooled_distance(a, b, *alphas) == pooled_distance_broadcast(a, b, *alphas)
+    families = [
+        ([gen_topk(g, n_instances=12, seed=s) for g, s in ((0.0, 1), (1.2, 3), (0.3, 4))],
+         gen_topk(0.65, n_instances=12, seed=2)),
+        ([gen_grid(c, 5, p=5, n_instances=10) for c in (3, 6, 7)], gen_grid(4, 5, p=5, n_instances=10)),
+    ]
+    for sources, target in families:
+        for batch in (1, 2, 3):
+            got = feature_label_pooled_distances(sources[:batch], target, *alphas)
+            assert got == [pooled_distance_broadcast(s, target, *alphas) for s in sources[:batch]]
+
+
+@pytest.mark.parametrize("alphas", [(-0.1, 0.5), (0.5, -0.1), (np.nan, 0.5), (0.5, np.inf), (np.inf, 0.5)])
+def test_feature_label_pooled_distances_reject_bad_weights(alphas):
+    # the cost they weight is rejected: negative or not finite
+    a = gen_topk(0.0, n_resources=5, n_instances=4, seed=1)
+    with pytest.raises(ValueError, match="cost matrix entries must be"), np.errstate(invalid="ignore"):
+        feature_label_pooled_distances([a], a, *alphas)
+
+
+def test_feature_label_pooled_distances_unequal_sizes_take_the_lp(monkeypatch):
+    target = gen_topk(0.65, n_resources=5, n_instances=6, seed=2)
+    sources = [gen_topk(0.0, n_resources=5, n_instances=6, seed=1),
+               gen_topk(1.2, n_resources=5, n_instances=4, seed=3)]
+    shapes = []
+
+    def counting_solve_exact(cost, a, b):
+        shapes.append(cost.entries.shape)
+        return solve_exact(cost, a, b)
+
+    monkeypatch.setattr(transfer, "solve_exact", counting_solve_exact)
+    square, unequal = feature_label_pooled_distances(sources, target)
+    assert shapes == [(20, 30)]
+    assert square == pooled_distance_broadcast(sources[0], target, 0.5, 0.5)
+    ref = replicated_assignment_value(pooled_cost_broadcast(sources[1], target, 0.5, 0.5))
+    assert abs(unequal - ref) <= 1e-9 * ref
 
 
 def test_feature_label_pooled_distance_peak_memory():
+    # each cost becomes its plan: one n x n array per source, and no label
+    # temporary beside it
     a = gen_topk(0.0, n_instances=32, seed=1)
     b = gen_topk(0.65, n_instances=32, seed=2)
+    c = gen_topk(1.2, n_instances=32, seed=3)
     n = a.X.size
-    feature_label_pooled_distance(a, a)  # imports scipy
-    tracemalloc.start()
-    try:
-        feature_label_pooled_distance(a, b)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.25 * n * n * a.X.itemsize
+    feature_label_pooled_distances([a], a)  # imports scipy
+    for sources, bound in (([b], 1.25), ([b, c], 2.25)):
+        tracemalloc.start()
+        try:
+            feature_label_pooled_distances(sources, a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * n * n * a.X.itemsize, len(sources)
 
 
 def test_estimate_phi_properties():
