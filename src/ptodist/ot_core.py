@@ -7,6 +7,7 @@ stabilized by absorbed log-domain potentials.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,20 @@ PLAN_MARGINAL_TOL = 1e-6
 # Sinkhorn scalings beyond [1/SCALING_BOUND, SCALING_BOUND] are absorbed into
 # the log-domain potentials
 SCALING_BOUND = 1e30
+# Sinkhorn checks its marginal violation every CHECK_EVERY iterations
+CHECK_EVERY = 10
+# HiGHS settings of the exact LP. At HiGHS's default 1e-7 feasibility
+# tolerances the value can sit ~1e-7 relative above the optimum. Presolve is
+# off: a transportation LP gives it little to remove (rows and columns of zero
+# weight), and it costs time and memory on every solve
+_HIGHS_OPTIONS = {
+    "presolve": "off",
+    "simplex_strategy": 1,  # dual simplex
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10,
+    "output_flag": False,
+    "log_to_console": False,
+}
 
 
 class DimensionMismatchError(ValueError):
@@ -137,8 +152,7 @@ def _check_problem(cost: CostMatrix, a: Marginal, b: Marginal) -> None:
 def solve_exact(cost: CostMatrix, a: Marginal, b: Marginal) -> tuple[TransportPlan, float]:
     """Exact OT plan and cost, minimizing <plan, cost> over the coupling polytope."""
     # imported here: scipy.optimize takes most of ``import ptodist``'s time
-    from scipy import sparse
-    from scipy.optimize import linprog
+    from scipy.optimize._highspy import _core
 
     _check_problem(cost, a, b)
     C = cost.entries
@@ -158,28 +172,33 @@ def solve_exact(cost: CostMatrix, a: Marginal, b: Marginal) -> tuple[TransportPl
         return TransportPlan(P, a, b), value
 
     # general marginals: linear program on the row-major flattened coupling,
-    # one equation per row sum and per column sum but the last (redundant)
+    # one equation per row sum and per column sum but the last (redundant).
+    # Column i*m + k of the constraint matrix (CSC) has a 1 in row i and,
+    # for k < m - 1, in row n + k
     flat = np.arange(n * m)
     col = flat % m
     kept = col < m - 1
-    A_eq = sparse.csc_array(
-        (np.ones(n * m + kept.sum()), (np.concatenate([flat // m, n + col[kept]]),
-                                       np.concatenate([flat, flat[kept]]))),
-        shape=(n + m - 1, n * m),
-    )
+    start = np.zeros(n * m + 1, dtype=np.int32)
+    np.cumsum(1 + kept, out=start[1:])
+    index = np.empty(start[-1], dtype=np.int32)
+    index[start[:-1]] = flat // m
+    index[start[:-1][kept] + 1] = n + col[kept]
     b_eq = np.concatenate([a.weights, b.weights[:-1]])
-    res = linprog(
-        C.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs",
-        # at HiGHS's default 1e-7 the value can sit ~1e-7 relative above the
-        # optimum. Presolve is off: a transportation LP gives it little to
-        # remove (rows and columns of zero weight), and it costs time and
-        # memory on every solve
-        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10,
-                 "presolve": False},
-    )
-    if not res.success:
-        raise RuntimeError(f"exact OT linear program failed: {res.message}")
-    P = res.x.reshape(n, m)
+    highs = _core._Highs()
+    for key, value in _HIGHS_OPTIONS.items():
+        highs.setOptionValue(key, value)
+    # the array form of passModel reads the arrays' buffers, where setting
+    # HighsLp's fields converts them element by element. Integrality 0 is
+    # continuous
+    highs.passModel(n * m, n + m - 1, int(start[-1]), int(_core.MatrixFormat.kColwise),
+                    int(_core.ObjSense.kMinimize), 0.0, C.ravel(), np.zeros(n * m),
+                    np.full(n * m, np.inf), b_eq, b_eq, start, index, np.ones(start[-1]),
+                    np.zeros(n * m, dtype=np.int32))
+    highs.run()
+    status = highs.getModelStatus()
+    if status != _core.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"exact OT linear program failed: {highs.modelStatusToString(status)}")
+    P = np.array(highs.getSolution().col_value).reshape(n, m)
     P = np.maximum(P, 0.0)
     plan = TransportPlan(P, a, b)
     return plan, transport_cost(plan, cost)
@@ -224,12 +243,14 @@ def solve_sinkhorn(
     before rounding. The reported cost is <plan, cost> without the entropy
     term.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if max_iter < 1:
+    # NaN fails both comparisons
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    # a float max_iter (inf or NaN too) raises TypeError, as a count should
+    if operator.index(max_iter) < 1:
         raise ValueError("max_iter must be at least 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     _check_problem(cost, a, b)
 
     C = cost.entries
@@ -267,36 +288,63 @@ def _sinkhorn(C, a, b, epsilon, max_iter, tol):
     underflowed, is recomputed in the log domain from the other side's
     potential; the scalings are then absorbed into f and g and K is rebuilt.
     The first half step always runs in the log domain.
+
+    The scaling runs in blocks that end where the violation is checked,
+    every CHECK_EVERY iterations and at max_iter. A block's half steps 2r and
+    2r + 1 write the u and v of its iteration r + 1 to U[r] and V[r], and the
+    bounds are checked once, on all of the block's rows. A block in bounds
+    has the iterates of a check after every half step. Otherwise the first
+    half step out of bounds is absorbed instead, which leaves u = v = 1, and
+    the block resumes after it.
     """
+    n, m = C.shape
     log_a, log_b = np.log(a), np.log(b)
-    f, g = np.zeros_like(a), np.zeros_like(b)
-    u, v = np.ones_like(a), np.ones_like(b)
-    K = None
-    lo, hi = 1.0 / SCALING_BOUND, SCALING_BOUND
-    violation = np.inf
-    it = 0
+    f, g = np.zeros(n), np.zeros(m)
+    U, V = np.empty((CHECK_EVERY, n)), np.ones((CHECK_EVERY, m))
+    done = 0   # iterations before the block
+    bad = 0    # the block's half step to absorb
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for it in range(1, max_iter + 1):
-            if K is not None:
-                u = a / (K @ v)
-            if K is None or not (lo <= u.min() and u.max() <= hi):
-                g += epsilon * np.log(v)
-                f = _log_scaling(C, log_a, g, epsilon)
-                K = np.exp((f[:, None] + g[None, :] - C) / epsilon)
-                u, v = np.ones_like(a), np.ones_like(b)
-            v = b / (K.T @ u)
-            if not (lo <= v.min() and v.max() <= hi):
-                f += epsilon * np.log(u)
-                g = _log_scaling(C.T, log_b, f, epsilon)
-                K = np.exp((f[:, None] + g[None, :] - C) / epsilon)
-                u, v = np.ones_like(a), np.ones_like(b)
-            if it % 10 == 0 or it == max_iter:
-                violation = np.abs(u * (K @ v) - a).max()
-                if violation < tol:
+        while True:
+            end = min(CHECK_EVERY, max_iter - done)   # iterations in the block
+            v_in = V[-1].copy()   # the v before the block; its last half step overwrites V[-1]
+            start = 0             # first half step to compute
+            while True:
+                if bad is not None:
+                    r = bad // 2
+                    if bad % 2:
+                        f += epsilon * np.log(U[r])
+                        g = _log_scaling(C.T, log_b, f, epsilon)
+                    else:
+                        g += epsilon * np.log(V[r - 1] if r else v_in)
+                        f = _log_scaling(C, log_a, g, epsilon)
+                    K = np.exp((f[:, None] + g[None, :] - C) / epsilon)
+                    U[r] = V[r] = 1.0
+                    start, bad = bad + 1, None
+                first = start // 2
+                if start % 2:
+                    np.divide(b, K.T @ U[first], out=V[first])
+                for r in range(first + start % 2, end):
+                    np.divide(a, K @ V[r - 1], out=U[r])
+                    np.divide(b, K.T @ U[r], out=V[r])
+                rows = slice(first, end)
+                if start == 2 * end or (_in_bounds(U[rows]) and _in_bounds(V[rows])):
                     break
+                bad = next(h for h in range(start, 2 * end)
+                           if not _in_bounds((V if h % 2 else U)[h // 2]))
+            u, v = U[end - 1], V[end - 1]
+            done += end
+            violation = np.abs(u * (K @ v) - a).max()
+            if violation < tol or done == max_iter:
+                break
     P = u[:, None] * K * v[None, :]
     violation = max(np.abs(P.sum(axis=1) - a).max(), np.abs(P.sum(axis=0) - b).max())
-    return P, violation, it
+    return P, violation, done
+
+
+def _in_bounds(x):
+    """Whether every scaling in ``x`` lies in [1/SCALING_BOUND, SCALING_BOUND];
+    min and max propagate NaN, which is out of bounds."""
+    return 1.0 / SCALING_BOUND <= x.min() and x.max() <= SCALING_BOUND
 
 
 def _round_to_polytope(P, a, b):

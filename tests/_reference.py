@@ -3,10 +3,11 @@
 from math import lcm
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, minimize, nnls
+from scipy import sparse
+from scipy.optimize import linear_sum_assignment, linprog, minimize, nnls
 
 from ptodist.datagen import score_probs
-from ptodist.ot_core import Marginal, TransportPlan
+from ptodist.ot_core import SCALING_BOUND, Marginal, TransportPlan, _log_scaling
 from ptodist.tasks import InventoryParams, decision_quality, objective_rows
 
 
@@ -124,6 +125,69 @@ def log_domain_sinkhorn(C, a, b, epsilon, max_iter, tol):
             if np.abs(P.sum(axis=1) - a).max() < tol:
                 break
     return np.exp(M + f[:, None] + g[None, :]), it
+
+
+def checked_sinkhorn(C, a, b, epsilon, max_iter, tol, absorbed=None):
+    """``ptodist``'s stabilized Sinkhorn kernel with the scaling bounds checked
+    after every half step, as one loop over the iterations.
+
+    Returns the unrounded plan, its marginal violation and the iteration
+    count. If ``absorbed`` is a list, each absorption appends its iteration
+    and side ("u" or "v") to it.
+    """
+    log_a, log_b = np.log(a), np.log(b)
+    f, g = np.zeros_like(a), np.zeros_like(b)
+    u, v = np.ones_like(a), np.ones_like(b)
+    K = None
+    lo, hi = 1.0 / SCALING_BOUND, SCALING_BOUND
+    it = 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            if K is not None:
+                u = a / (K @ v)
+            if K is None or not (lo <= u.min() and u.max() <= hi):
+                g += epsilon * np.log(v)
+                f = _log_scaling(C, log_a, g, epsilon)
+                K = np.exp((f[:, None] + g[None, :] - C) / epsilon)
+                u, v = np.ones_like(a), np.ones_like(b)
+                if absorbed is not None:
+                    absorbed.append((it, "u"))
+            v = b / (K.T @ u)
+            if not (lo <= v.min() and v.max() <= hi):
+                f += epsilon * np.log(u)
+                g = _log_scaling(C.T, log_b, f, epsilon)
+                K = np.exp((f[:, None] + g[None, :] - C) / epsilon)
+                u, v = np.ones_like(a), np.ones_like(b)
+                if absorbed is not None:
+                    absorbed.append((it, "v"))
+            if it % 10 == 0 or it == max_iter:
+                violation = np.abs(u * (K @ v) - a).max()
+                if violation < tol:
+                    break
+    P = u[:, None] * K * v[None, :]
+    violation = max(np.abs(P.sum(axis=1) - a).max(), np.abs(P.sum(axis=0) - b).max())
+    return P, violation, it
+
+
+def linprog_plan(C, a, b):
+    """Exact OT plan of ``ptodist``'s transportation LP, built as a
+    ``scipy.sparse`` matrix from COO indices and solved by
+    ``scipy.optimize.linprog`` with the same HiGHS settings."""
+    n, m = C.shape
+    flat = np.arange(n * m)
+    col = flat % m
+    kept = col < m - 1
+    A_eq = sparse.csc_array(
+        (np.ones(n * m + kept.sum()), (np.concatenate([flat // m, n + col[kept]]),
+                                       np.concatenate([flat, flat[kept]]))),
+        shape=(n + m - 1, n * m),
+    )
+    b_eq = np.concatenate([a, b[:-1]])
+    res = linprog(C.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10, "presolve": False})
+    assert res.success, res.message
+    return np.maximum(res.x.reshape(n, m), 0.0)
 
 
 def lipschitz_ratios_by_trial(task, label_dim, scale, trials, seed):

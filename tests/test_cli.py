@@ -204,6 +204,18 @@ def test_dist_sinkhorn_nonconvergence_is_numerical_failure(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_dist_sinkhorn_nonfinite_epsilon_is_a_data_error(tmp_path, capsys, epsilon):
+    a = gen_topk_file(tmp_path, "a.plds", 0.0, 1)
+    b = gen_topk_file(tmp_path, "b.plds", 1.0, 2)
+    capsys.readouterr()
+    code = run_cli(["dist", str(a), str(b), "--solver", "sinkhorn", "--epsilon", epsilon])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: epsilon must be positive and finite, got {epsilon}\n"
+    assert captured.out == ""
+
+
 def test_dist_sinkhorn_converged_is_not_below_exact(tmp_path, capsys):
     a = gen_topk_file(tmp_path, "a.plds", 0.0, 1)
     b = gen_topk_file(tmp_path, "b.plds", 1.0, 2)

@@ -1,5 +1,6 @@
 """Tests for exact and entropic optimal transport solvers."""
 
+import functools
 import itertools
 import os
 import subprocess
@@ -10,8 +11,11 @@ import numpy as np
 import pytest
 
 import ptodist
+from ptodist import ot_core
 from _reference import (
     assignment_zeros_like,
+    checked_sinkhorn,
+    linprog_plan,
     log_domain_sinkhorn,
     random_coupling,
     replicated_assignment_value,
@@ -234,6 +238,14 @@ def test_sinkhorn_parameter_validation():
         solve_sinkhorn(C, a, a, epsilon=0.1, max_iter=0)
     with pytest.raises(ValueError):
         solve_sinkhorn(C, a, a, epsilon=0.1, tol=0.0)
+    # NaN and inf are rejected before any iteration runs
+    for bad in (np.nan, np.inf):
+        with pytest.raises(TypeError):
+            solve_sinkhorn(C, a, a, epsilon=0.1, max_iter=bad)
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            solve_sinkhorn(C, a, a, epsilon=bad)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            solve_sinkhorn(C, a, a, epsilon=0.1, tol=bad)
 
 
 def test_sinkhorn_self_distance_near_zero():
@@ -321,6 +333,87 @@ def test_sinkhorn_matches_log_domain_reference():
             P, iterations = log_domain_sinkhorn(C, a, b, epsilon, 2000, 1e-9)
             assert res.iterations == iterations
             assert np.abs(res.plan.matrix - _round_to_polytope(P, a, b)).max() < 1e-12
+
+
+def _assert_sinkhorn_matches_checked_reference(monkeypatch, cost, a, b, absorbed=None, **kw):
+    """solve_sinkhorn equals, bit for bit, itself with its kernel replaced by the
+    reference that checks the scaling bounds after every half step."""
+    res = solve_sinkhorn(cost, a, b, **kw)
+    with monkeypatch.context() as patch:
+        patch.setattr(ot_core, "_sinkhorn", functools.partial(checked_sinkhorn, absorbed=absorbed))
+        ref = solve_sinkhorn(cost, a, b, **kw)
+    assert res.plan.matrix.tobytes() == ref.plan.matrix.tobytes()
+    assert res.marginal_violation == ref.marginal_violation
+    assert res.iterations == ref.iterations
+    assert res.cost == ref.cost and res.converged == ref.converged
+
+
+def _absorption_kind(iteration, side):
+    if side == "u" and iteration % ot_core.CHECK_EVERY == 1:
+        return "u at a block's first half step"
+    if side == "v" and iteration % ot_core.CHECK_EVERY == 0:
+        return "v at a block's last half step"
+    return f"{side} inside a block"
+
+
+def test_sinkhorn_matches_checked_reference_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(53)
+    kinds = set()
+    for case in range(60):
+        if case < 40:  # any size and epsilon, at the max_iter edges
+            n, m = rng.integers(2, 61, size=2)
+            epsilon = float(10 ** rng.uniform(-4, 0))
+            max_iter = int(rng.choice([1, 7, 13, 10_000]))
+        else:  # small problems at small epsilon absorb often
+            n, m = rng.integers(2, 9, size=2)
+            epsilon = float(10 ** rng.uniform(-4, -2))
+            max_iter = 300
+        C = rng.uniform(0.0, float(10 ** rng.uniform(-1, 2)), (n, m))
+        a, b = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+        if case % 4 == 1:  # zero-weight rows and columns, one positive weight kept
+            a[rng.permutation(n)[: n // 3]] = 0.0
+            b[rng.permutation(m)[: m // 3]] = 0.0
+            a, b = a / a.sum(), b / b.sum()
+        absorbed = []
+        _assert_sinkhorn_matches_checked_reference(
+            monkeypatch, CostMatrix(C), Marginal(a), Marginal(b), absorbed,
+            epsilon=epsilon, max_iter=max_iter)
+        kinds |= {_absorption_kind(*x) for x in absorbed[1:]}
+    # absorptions after the first, at every place a block can resume from
+    assert kinds == {"u at a block's first half step", "u inside a block",
+                     "v inside a block", "v at a block's last half step"}
+
+
+def test_sinkhorn_matches_checked_reference_on_bench_pairs(monkeypatch):
+    # the fixed pairs of the benchmark's distance workload, at the dist defaults:
+    # top-K converges after 5 960 iterations, grid and inventory stop at 10 000
+    pairs = [(gen_topk(0.3, seed=1), gen_topk(0.9, seed=2)),
+             (gen_grid(1, 5, n_instances=20), gen_grid(2, 5, n_instances=20)),
+             (gen_inventory(1, 3, seed=1), gen_inventory(2, 3, seed=2))]
+    for x, y in pairs:
+        cost = pairwise_cost_matrix(x, y, GroundCostWeights(1 / 3, 1 / 3, 1 / 3))
+        _assert_sinkhorn_matches_checked_reference(
+            monkeypatch, cost, Marginal.uniform(len(x)), Marginal.uniform(len(y)), epsilon=0.01)
+
+
+def test_exact_lp_plan_matches_linprog_bit_for_bit():
+    # the LP shapes of the benchmark's distance and bound workloads
+    rng = np.random.default_rng(59)
+    theta_seed, map_seed = (int(s) for s in rng.integers(1 << 31, size=2))
+    pairs = [
+        (gen_topk(0.2, n_instances=60, seed=1), gen_topk(1.1, n_instances=50, seed=2)),
+        (gen_grid(3, map_seed, n_instances=24), gen_grid(4, map_seed, n_instances=20)),
+        (gen_inventory(1, theta_seed, n_instances=36, seed=3),
+         gen_inventory(2, theta_seed, n_instances=30, seed=4)),
+        (gen_inventory(5, theta_seed, n_instances=60, seed=6),
+         gen_inventory(6, theta_seed, n_instances=50, seed=7)),
+        (gen_topk(0.3, n_instances=200, seed=8), gen_topk(0.9, n_instances=240, seed=9)),
+    ]
+    for x, y in pairs:
+        cost = pairwise_cost_matrix(x, y, GroundCostWeights(*rng.dirichlet(np.ones(3))))
+        a, b = Marginal.uniform(len(x)), Marginal.uniform(len(y))
+        plan, _ = solve_exact(cost, a, b)
+        assert plan.matrix.tobytes() == linprog_plan(cost.entries, a.weights, b.weights).tobytes()
 
 
 def test_sinkhorn_zero_weight_rows_carry_no_mass():
