@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -33,6 +34,22 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _positive_finite(text: str) -> float:
+    """An option value that must be a number in (0, inf): a usage error otherwise."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
+def _positive_finite_list(text: str) -> list[float]:
+    """A comma-separated list of :func:`_positive_finite` values."""
+    return [_positive_finite(item) for item in text.split(",")]
 
 
 def _weights_from_args(args) -> GroundCostWeights:
@@ -175,10 +192,9 @@ def cmd_bound(args) -> int:
         k1, k2 = args.k1, args.k2
     else:
         k1, k2 = transfer.default_lipschitz_constants(task, source.Y.shape[1], seed=args.seed)
-    lambdas = [float(v) for v in args.lambdas.split(",")]
     all_hold = True
     rows = []
-    for lam in lambdas:
+    for lam in args.lambdas:
         rep = transfer.evaluate_bound(task, f, f_tilde, source, target, lam, k1, k2)
         all_hold = all_hold and rep.holds
         rows.append(
@@ -373,9 +389,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bound", help="empirical adaptation-bound check")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--lambdas", default="0.5,1,2,4", help="comma-separated lambda grid")
-    p.add_argument("--k1", type=float, default=None)
-    p.add_argument("--k2", type=float, default=None)
+    p.add_argument("--lambdas", type=_positive_finite_list, default="0.5,1,2,4",
+                   help="comma-separated lambda grid, each value positive and finite")
+    p.add_argument("--k1", type=_positive_finite, default=None)
+    p.add_argument("--k2", type=_positive_finite, default=None)
     p.add_argument("--budget", type=int, default=3000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

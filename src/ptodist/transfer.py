@@ -218,7 +218,7 @@ def rsquared(points) -> float:
     x, y = pts[:, 0], pts[:, 1]
     if _degenerate(x):
         raise ValueError("distance values are degenerate (zero variance)")
-    if np.var(y) < 1e-18:
+    if _degenerate(y):
         return 0.0
     design = np.column_stack([x, np.ones_like(x)])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
@@ -342,7 +342,11 @@ def estimate_phi(
     """Mass fraction of coupled pairs violating the lambda-Lipschitz condition."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    mass, gaps, dx = _coupled_gaps(task, f_tilde, plan, dataset_a, dataset_b)
+    return _phi(plan, *_coupled_gaps(task, f_tilde, plan, dataset_a, dataset_b), lam)
+
+
+def _phi(plan, mass, gaps, dx, lam):
+    """The mass fraction of :func:`estimate_phi`, from the arrays of :func:`_coupled_gaps`."""
     viol = mass[gaps > lam * dx + 1e-12].sum()
     return float(min(max(viol / plan.matrix.sum(), 0.0), 1.0))
 
@@ -383,12 +387,13 @@ def evaluate_bound(
     Target rows take the decisions induced by the model's predictions, source
     rows the oracle decisions for their labels; the OT problem uses the weight
     normalization alpha_W = 1 / (lambda*k1 + k2 + 1). The envelope L is the
-    largest prediction gap of ``f_tilde`` over coupled pairs.
+    largest prediction gap of ``f_tilde`` over coupled pairs; it and phi come
+    from one pass over the plan's coupled pairs. ``lam``, ``k1`` and ``k2``
+    must be positive and finite.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    if k1 <= 0 or k2 <= 0:
-        raise ValueError("k1 and k2 must be positive")
+    for name, value in (("lambda", lam), ("k1", k1), ("k2", k2)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     if source.task != target.task:
         raise ValueError("source and target must be from the same task family")
     alpha_w = 1.0 / (lam * k1 + k2 + 1.0)
@@ -402,8 +407,9 @@ def evaluate_bound(
     plan, d_ot = solve_exact(CostMatrix(_weighted(weights, F, L, W)),
                              Marginal.uniform(len(target)), Marginal.uniform(len(source)))
 
-    big_l = float(_coupled_gaps(task, f_tilde, plan, target, source)[1].max())
-    phi = estimate_phi(task, f_tilde, plan, target, source, lam)
+    mass, gaps, dx = _coupled_gaps(task, f_tilde, plan, target, source)
+    big_l = float(gaps.max())
+    phi = _phi(plan, mass, gaps, dx, lam)
     return BoundReport(
         lhs=mean_regret(task, f, target),
         joint_regret_source=mean_regret(task, f_tilde, source),

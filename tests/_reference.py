@@ -8,7 +8,7 @@ from scipy.optimize import linear_sum_assignment, linprog, minimize, nnls
 
 from ptodist.datagen import score_probs
 from ptodist.ot_core import SCALING_BOUND, Marginal, TransportPlan, _log_scaling
-from ptodist.tasks import InventoryParams, decision_quality, objective_rows
+from ptodist.tasks import InventoryParams, decision_quality, fstock, objective_rows
 
 
 def random_coupling(a: Marginal, b: Marginal, rng: np.random.Generator) -> TransportPlan:
@@ -243,3 +243,48 @@ def solve_inventory_qp_kkt(params: InventoryParams, demands, probs) -> tuple[flo
     mu, _ = nnls(np.vstack([G.T, np.diag(slack)]), np.concatenate([g, np.zeros(h.size)]))
     kkt = max(-slack.min(), np.abs(G.T @ mu - g).max(), np.abs(mu * slack).max())
     return float(v[0]), float(kkt)
+
+
+def accumulated_stock_cost(task, probs, z):
+    """Expected stocking cost of ``ptodist``'s inventory objective, as one
+    broadcast array of terms summed by ``np.add.accumulate``."""
+    demands = np.asarray(task.params["demand_values"], dtype=float)
+    terms = probs * fstock(task.params["inventory_params"], demands, z)
+    return np.add.accumulate(terms, axis=-1)[..., -1]
+
+
+def inventory_oracle_rebuilt(task, P):
+    """``ptodist``'s inventory oracle with its per-task constants rebuilt on
+    every call and every candidate, inside its segment or not, costed under
+    every demand."""
+    params = task.params["inventory_params"]
+    demands = np.asarray(task.params["demand_values"], dtype=float)
+    knots = np.concatenate([[0.0], demands])
+    lo = knots
+    hi = np.append(knots[1:], knots[-1] + 1.0)
+    mid = 0.5 * (lo + hi)
+    under = demands[:, None] > mid[None, :]
+    over = demands[:, None] < mid[None, :]
+    coef_a = np.where(under, 0.5 * params.qb, 0.0) + np.where(over, 0.5 * params.qh, 0.0)
+    coef_b = (np.where(under, -(params.cb + params.qb * demands[:, None]), 0.0)
+              + np.where(over, params.ch - params.qh * demands[:, None], 0.0))
+    A = 0.5 * params.q0
+    B = params.c0
+    for j in range(demands.size):
+        A = A + P[:, j : j + 1] * coef_a[j]
+        B = B + P[:, j : j + 1] * coef_b[j]
+    z_star = np.divide(-B, 2 * A, out=np.zeros(A.shape), where=A > 0)
+    inside = (A > 0) & (lo <= z_star) & (z_star <= hi)
+    candidates = np.maximum(np.concatenate([np.broadcast_to(knots, A.shape), z_star], axis=1), 0.0)
+    vals = accumulated_stock_cost(task, P[:, None, :], candidates[:, :, None])
+    vals[:, knots.size :][~inside] = np.inf
+    best = np.argmin(vals, axis=1)
+    return candidates[np.arange(P.shape[0]), best][:, None]
+
+
+def topk_oracle_put_along_axis(task, Y):
+    """``ptodist``'s top-K oracle with the ones set by ``np.put_along_axis``."""
+    order = np.argsort(-Y, axis=1, kind="stable")
+    Z = np.zeros(Y.shape)
+    np.put_along_axis(Z, order[:, : task.params["k"]], 1.0, axis=1)
+    return Z

@@ -307,6 +307,41 @@ def test_bound_one_lipschitz_constant_is_a_usage_error(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+def test_bound_lambda_grid_option(tmp_path):
+    a = gen_topk_file(tmp_path, "a.plds", 0.65, 5, instances=6, resources=6)
+    out = tmp_path / "bound.csv"
+    code = run_cli(["bound", "--source", str(a), "--target", str(a), "--lambdas", "0.25,3",
+                    "--k1", "2", "--k2", "1.5", "--budget", "50", "--out", str(out)])
+    assert code == 0
+    rows = read_rows(out)
+    assert [(r["lambda"], r["k1"], r["k2"]) for r in rows] == [("0.25", "2", "1.5"), ("3", "2", "1.5")]
+
+
+@pytest.mark.parametrize("given, option", [
+    (["--lambdas", "nan"], "--lambdas"),
+    (["--lambdas", "inf"], "--lambdas"),
+    (["--lambdas", "0"], "--lambdas"),
+    (["--lambdas", "abc"], "--lambdas"),
+    (["--lambdas", "1,,2"], "--lambdas"),
+    (["--lambdas="], "--lambdas"),
+    (["--k1", "nan", "--k2", "1"], "--k1"),
+    (["--k1", "1", "--k2", "inf"], "--k2"),
+    (["--k1", "-1", "--k2", "1"], "--k1"),
+])
+def test_bound_bad_lambda_or_constant_is_a_usage_error(tmp_path, capsys, monkeypatch, given, option):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a model was trained")
+
+    monkeypatch.setattr(transfer, "train_regret_min", no_training)
+    out = tmp_path / "bound.csv"
+    # the dataset files do not exist: reading them first would be a data error (exit 2)
+    code = run_cli(["bound", "--source", str(tmp_path / "missing-a.plds"),
+                    "--target", str(tmp_path / "missing-b.plds"), "--out", str(out), *given])
+    assert code == 1
+    assert f"argument {option}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_rerun_is_bit_identical(tmp_path):
     hashes = []
     for run in range(2):

@@ -7,7 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _reference import lipschitz_ratios_by_trial, solve_inventory_qp_kkt
+from _reference import (
+    accumulated_stock_cost,
+    inventory_oracle_rebuilt,
+    lipschitz_ratios_by_trial,
+    solve_inventory_qp_kkt,
+    topk_oracle_put_along_axis,
+)
 from ptodist import tasks
 from ptodist.tasks import (
     InfeasibleDecisionError,
@@ -290,8 +296,8 @@ def test_empirical_lipschitz_matches_one_trial_loop(task, label_dim):
 
 
 def test_empirical_lipschitz_memory_stays_flat():
-    # the probe's peak is one chunk's oracle temporaries: 1.3 MB at 100 trials
-    # a chunk, 2.5 MB at 500 and 95 MB with all 20 000 trials in one call
+    # the probe's peak is one chunk's oracle temporaries: 1.0 MB at 100 trials
+    # a chunk, 1.6 MB at 500 and 30 MB with all 20 000 trials in one call
     tracemalloc.start()
     try:
         empirical_lipschitz(inventory_task(), 5)
@@ -347,6 +353,67 @@ def per_sample_objective(task, z, y):
     for p, d in zip(y, task.params["demand_values"]):
         total += p * fstock(task.params["inventory_params"], d, z[0])
     return -total
+
+
+def inventory_kernel_tasks():
+    """Inventory tasks of 2, 3 and 5 demands; the last as ``read_dataset`` builds
+    it from a file of integer numbers."""
+    return [
+        inventory_task(),
+        inventory_task(inventory_params=InventoryParams(q0=0.0, qb=1.5, qh=4.0)),
+        inventory_task((3.0, 8.0)),
+        inventory_task((2.0, 5.0, 11.0), InventoryParams(c0=3.0, q0=0.5, cb=40.0, qb=0.1, ch=1.0, qh=0.2)),
+        TaskDefinition("inventory", {
+            "demand_values": (5, 10, 15, 20, 25),
+            "inventory_params": InventoryParams(c0=30, q0=0, cb=10, qb=2, ch=30, qh=25),
+        }),
+    ]
+
+
+def inventory_label_batch(rng, n, k):
+    """n demand distributions over k demands: Dirichlet rows, some with
+    zero-probability demands, some point masses and some uniform."""
+    P = rng.dirichlet(np.full(k, rng.choice([0.1, 1.0, 10.0])), size=n)
+    kind = rng.integers(0, 4, size=n)
+    holes = (kind == 1)[:, None] & (rng.random((n, k)) < 0.5)
+    holes[np.arange(n), rng.integers(0, k, size=n)] = False  # keep one demand
+    P[holes] = 0.0
+    P /= P.sum(axis=1, keepdims=True)
+    P[kind == 2] = np.eye(k)[rng.integers(0, k, size=(kind == 2).sum())]
+    P[kind == 3] = 1.0 / k
+    return P
+
+
+def test_inventory_kernels_match_rebuilt_reference_bit_for_bit():
+    rng = np.random.default_rng(14)
+    for task in inventory_kernel_tasks():
+        k = len(task.params["demand_values"])
+        for n in (1, 2, 400, *rng.integers(1, 401, size=12)):
+            P = inventory_label_batch(rng, int(n), k)
+            Z = oracle_batch(task, P)
+            assert Z.tobytes() == inventory_oracle_rebuilt(task, P).tobytes(), (task.params, n)
+            Y = inventory_label_batch(rng, int(n), k)
+            got = objective_rows(task, Z, Y)
+            assert got.tobytes() == (-accumulated_stock_cost(task, Y, Z)).tobytes()
+            # every decision under every label row, as the ground cost broadcasts them
+            got = objective_rows(task, Z[:, None, :], Y[None, :5, :])
+            assert got.tobytes() == (-accumulated_stock_cost(task, Y[None, :5, :], Z[:, None, :])).tobytes()
+
+
+def test_topk_oracle_matches_put_along_axis_reference():
+    rng = np.random.default_rng(15)
+    Y = rng.integers(0, 3, size=(300, 6)).astype(float)  # many ties
+    for k in (1, 3):
+        task = topk_task(6, k)
+        assert oracle_batch(task, Y).tobytes() == topk_oracle_put_along_axis(task, Y).tobytes()
+
+
+def test_inventory_tables_are_read_only():
+    task = inventory_task()
+    tables = tasks._inventory_tables(task.params["inventory_params"], task.params["demand_values"])
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 1.0
 
 
 def test_topk_oracle_batch_keeps_lowest_index_ties():

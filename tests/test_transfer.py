@@ -339,7 +339,8 @@ def test_evaluate_bound_matches_lifted_dataset_reference(family):
     task = source.task
     rng = np.random.default_rng(8)
     dim = model_dim(task, source.X.shape[1])
-    for lam, k1, k2 in ((0.5, 3.0, 3.0), (2.0, 30.0, 30.0), (4.0, 1.0, 7.0)):
+    # phi is 0 or 1 at the first three; at lambda 0.05 it is 2/3 on grid
+    for lam, k1, k2 in ((0.5, 3.0, 3.0), (2.0, 30.0, 30.0), (4.0, 1.0, 7.0), (0.05, 3.0, 3.0)):
         f, f_tilde = (PredictiveModel("linear", rng.normal(0.0, 1.0, dim)) for _ in range(2))
         rep = evaluate_bound(task, f, f_tilde, source, target, lam, k1, k2)
         ref = reference_bound(task, f, f_tilde, source, target, lam, k1, k2)
@@ -396,6 +397,17 @@ def test_evaluate_bound_parameter_validation():
         evaluate_bound(task, m, m, ds, ds, lam=0.0, k1=1.0, k2=1.0)
     with pytest.raises(ValueError):
         evaluate_bound(task, m, m, ds, ds, lam=1.0, k1=0.0, k2=1.0)
+
+
+@pytest.mark.parametrize("name", ["lam", "k1", "k2"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+def test_evaluate_bound_rejects_nonfinite_parameters(name, value):
+    task, ds = linear_topk_dataset(1.0, 0.0)
+    m = PredictiveModel("linear", np.array([1.0, 0.0]))
+    params = {"lam": 1.0, "k1": 1.0, "k2": 1.0, name: value}
+    shown = "lambda" if name == "lam" else name
+    with pytest.raises(ValueError, match=f"{shown} must be positive and finite"):
+        evaluate_bound(task, m, m, ds, ds, **params)
 
 
 def test_evaluate_bound_randomized_small_instances():
