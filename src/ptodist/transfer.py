@@ -77,33 +77,40 @@ def model_dim(task: TaskDefinition, feature_dim: int) -> int:
     return k * (feature_dim + 1)
 
 
-def predict_rows(task: TaskDefinition, model: PredictiveModel, X) -> np.ndarray:
-    """Predicted label vectors, one row per row of stacked features X."""
-    X = np.asarray(X, dtype=float)
-    theta = model.theta
-    if task.kind == "topk":
-        return theta[0] * X + theta[1]
-    if task.kind == "shortest_path":
-        # clipped at 0: the 8-neighbour grid has cycles, so a negative cell
-        # cost leaves shortest paths undefined
-        return np.maximum(theta[0] * X + theta[1], 0.0)
-    k = len(task.params["demand_values"])
-    mat = theta.reshape(k, X.shape[1] + 1)
-    return score_probs(X @ mat[:, :-1].T + mat[:, -1])
-
-
-def predict(task: TaskDefinition, model: PredictiveModel, x: np.ndarray) -> np.ndarray:
-    """Predicted label vector for one instance's features: one row of :func:`predict_rows`."""
-    return predict_rows(task, model, np.asarray(x, dtype=float).reshape(1, -1))[0]
+def predict_rows(task: TaskDefinition, theta, X) -> np.ndarray:
+    """Predicted label vectors of the linear model with weights ``theta``, one
+    row per row of stacked features X. A stack of m weight vectors, shape
+    (m, dim), gives an (m, rows, label) array, one block per model."""
+    if task.kind == "inventory":
+        mat = theta.reshape(theta.shape[:-1] + (len(task.params["demand_values"]), -1))
+        scores = X @ mat[..., :-1].mT
+        scores += mat[..., None, :, -1]
+        return score_probs(scores)
+    w = theta if theta.ndim == 1 else theta[:, None, None]
+    y_hat = w[..., 0] * X
+    y_hat += w[..., 1]
+    # clipped at 0 for shortest path: the 8-neighbour grid has cycles, so a
+    # negative cell cost leaves shortest paths undefined
+    return np.maximum(y_hat, 0.0) if task.kind == "shortest_path" else y_hat
 
 
 def mean_regret(task: TaskDefinition, model: PredictiveModel, dataset: PtODataset) -> float:
     """Mean decision regret |g(w*(y); y) - g(w*(f(x)); y)| of a model's predictions over a dataset."""
-    decisions = oracle_batch(task, predict_rows(task, model, dataset.X))
-    regrets = np.abs(dataset.optimal_quality(task) - objective_rows(task, decisions, dataset.Y))
+    return float(mean_regrets(task, model.theta, dataset))
+
+
+def mean_regrets(task: TaskDefinition, thetas, dataset: PtODataset):
+    """:func:`mean_regret` of each weight vector in the stack ``thetas``, shape
+    (m, dim), bit for bit; one vector, shape (dim,), gives one value."""
+    y_hat = predict_rows(task, thetas, dataset.X)
+    if y_hat.ndim == 2:  # one model: its predictions are already the oracle's rows
+        Z = oracle_batch(task, y_hat)
+    else:  # a stack: one oracle call on every model's rows, then one block per model
+        Z = oracle_batch(task, y_hat.reshape(-1, y_hat.shape[-1])).reshape(y_hat.shape[:-1] + (-1,))
+    regrets = np.abs(dataset.optimal_quality(task) - objective_rows(task, Z, dataset.Y))
     # summed one after another in sample order, so that the pattern search,
     # which compares these means, sees the same values as a running total
-    return float(np.add.accumulate(regrets)[-1]) / regrets.size
+    return np.add.accumulate(regrets.T)[-1] / regrets.shape[-1]
 
 
 def train_regret_min(
@@ -113,22 +120,25 @@ def train_regret_min(
     restarts: int = 5,
     seed: int = 0,
 ) -> PredictiveModel:
-    """Fit a linear model by coordinate pattern search on empirical regret."""
+    """Fit a linear model by coordinate pattern search on empirical regret.
+
+    The restarts run in lockstep, one :func:`mean_regrets` call scoring each
+    live restart's next candidate; rows are independent, so the model and the
+    evaluation count are those of running one restart at a time.
+    """
     if budget < 1:
         raise ValueError("training budget must be at least 1 evaluation")
     rng = np.random.default_rng(seed)
     dim = model_dim(task, dataset.X.shape[1])
-
-    def loss(theta):
-        return mean_regret(task, PredictiveModel("linear", theta), dataset)
-
-    best_theta = None
-    best_loss = np.inf
     per_restart = max(budget // max(restarts, 1), 1)
-    for r in range(restarts):
-        theta = np.zeros(dim) if r == 0 else rng.normal(0.0, 1.0, dim)
+    # a budget of one evaluation per restart is spent on the first start point
+    runs = range(restarts if per_restart > 1 else min(restarts, 1))
+    starts = [np.zeros(dim) if r == 0 else rng.normal(0.0, 1.0, dim) for r in runs]
+
+    def search(theta):
+        # one restart: yields each candidate, is sent its mean regret
+        cur = yield theta
         evals = 1
-        cur = loss(theta)
         step = 1.0
         while evals < per_restart and step > 1e-8:
             improved = False
@@ -138,7 +148,7 @@ def train_regret_min(
                         break
                     cand = theta.copy()
                     cand[i] += delta
-                    val = loss(cand)
+                    val = yield cand
                     evals += 1
                     if val < cur - 1e-15:
                         theta, cur = cand, val
@@ -146,10 +156,20 @@ def train_regret_min(
                         break
             if not improved:
                 step *= 0.5
-        if cur < best_loss:
-            best_theta, best_loss = theta, cur
-        if r == 0 and per_restart <= 1:
-            break  # budget exhausted on the initial evaluation
+        return theta, cur
+
+    searches = [search(theta) for theta in starts]
+    pending = {s: next(s) for s in searches}  # each live search's next candidate
+    results = {}
+    while pending:
+        vals = mean_regrets(task, np.array(list(pending.values())), dataset).tolist()
+        for s, val in zip(list(pending), vals):
+            try:
+                pending[s] = s.send(val)
+            except StopIteration as done:
+                del pending[s]
+                results[s] = done.value
+    best_theta, _ = min(map(results.get, searches), key=lambda found: found[1], default=(None, None))
     return PredictiveModel("linear", best_theta)
 
 
@@ -340,8 +360,8 @@ def estimate_phi(
     lam: float,
 ) -> float:
     """Mass fraction of coupled pairs violating the lambda-Lipschitz condition."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not 0 < lam < np.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam!r}")
     return _phi(plan, *_coupled_gaps(task, f_tilde, plan, dataset_a, dataset_b), lam)
 
 
@@ -354,8 +374,8 @@ def _phi(plan, mass, gaps, dx, lam):
 def _coupled_gaps(task, f_tilde, plan, dataset_a, dataset_b):
     """Over the plan's nonzero entries (i, j): the mass, |f(x_i) - f(x'_j)| and |x_i - x'_j|."""
     I, J = np.nonzero(plan.matrix > 0)
-    pred_a = predict_rows(task, f_tilde, dataset_a.X)
-    pred_b = predict_rows(task, f_tilde, dataset_b.X)
+    pred_a = predict_rows(task, f_tilde.theta, dataset_a.X)
+    pred_b = predict_rows(task, f_tilde.theta, dataset_b.X)
     gaps = np.linalg.norm(pred_a[I] - pred_b[J], axis=1)
     dx = np.linalg.norm(dataset_a.X[I] - dataset_b.X[J], axis=1)
     return plan.matrix[I, J], gaps, dx
@@ -401,7 +421,7 @@ def evaluate_bound(
 
     # rows: target (predicted decisions); cols: source (oracle decisions).
     # As-written mode scores both decisions under the source labels.
-    z_t = oracle_batch(task, predict_rows(task, f, target.X))
+    z_t = oracle_batch(task, predict_rows(task, f.theta, target.X))
     z_s = oracle_batch(task, source.Y)
     F, L, W = _components(task, target.X, target.Y, z_t, source.X, source.Y, z_s, "as-written")
     plan, d_ot = solve_exact(CostMatrix(_weighted(weights, F, L, W)),

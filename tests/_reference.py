@@ -9,6 +9,7 @@ from scipy.optimize import linear_sum_assignment, linprog, minimize, nnls
 from ptodist.datagen import score_probs
 from ptodist.ot_core import SCALING_BOUND, Marginal, TransportPlan, _log_scaling
 from ptodist.tasks import InventoryParams, decision_quality, fstock, objective_rows
+from ptodist.transfer import PredictiveModel, mean_regret, model_dim
 
 
 def random_coupling(a: Marginal, b: Marginal, rng: np.random.Generator) -> TransportPlan:
@@ -288,3 +289,49 @@ def topk_oracle_put_along_axis(task, Y):
     Z = np.zeros(Y.shape)
     np.put_along_axis(Z, order[:, : task.params["k"]], 1.0, axis=1)
     return Z
+
+
+def train_regret_min_sequential(task, dataset, budget=5000, restarts=5, seed=0):
+    """``transfer.train_regret_min`` with its restarts run one after another,
+    each candidate scored by its own ``mean_regret`` call; returns the model
+    and the number of evaluations made."""
+    if budget < 1:
+        raise ValueError("training budget must be at least 1 evaluation")
+    rng = np.random.default_rng(seed)
+    dim = model_dim(task, dataset.X.shape[1])
+    n_evals = 0
+
+    def loss(theta):
+        nonlocal n_evals
+        n_evals += 1
+        return mean_regret(task, PredictiveModel("linear", theta), dataset)
+
+    best_theta = None
+    best_loss = np.inf
+    per_restart = max(budget // max(restarts, 1), 1)
+    for r in range(restarts):
+        theta = np.zeros(dim) if r == 0 else rng.normal(0.0, 1.0, dim)
+        evals = 1
+        cur = loss(theta)
+        step = 1.0
+        while evals < per_restart and step > 1e-8:
+            improved = False
+            for i in range(dim):
+                for delta in (step, -step):
+                    if evals >= per_restart:
+                        break
+                    cand = theta.copy()
+                    cand[i] += delta
+                    val = loss(cand)
+                    evals += 1
+                    if val < cur - 1e-15:
+                        theta, cur = cand, val
+                        improved = True
+                        break
+            if not improved:
+                step *= 0.5
+        if cur < best_loss:
+            best_theta, best_loss = theta, cur
+        if r == 0 and per_restart <= 1:
+            break  # budget exhausted on the initial evaluation
+    return PredictiveModel("linear", best_theta), n_evals

@@ -278,6 +278,39 @@ def test_empirical_lipschitz_probe_is_finite_positive():
     assert 0.0 < empirical_lipschitz(shortest_path_task(3), 9, trials=200, seed=0) < np.inf
 
 
+def quality_ratio(task, y, y_star, z, z_star):
+    """|q(y,y*) - q(z,z*)| / (|y-z| + |y*-z*|), the ratio the Lipschitz probe maximizes."""
+    q = objective_rows(task, oracle_batch(task, np.stack([y, z])), np.stack([y_star, z_star]))
+    return abs(q[0] - q[1]) / (np.linalg.norm(y - z) + np.linalg.norm(y_star - z_star))
+
+
+def topk_swap_pair(delta):
+    # two near-tied utilities in swapped order: the decision jumps between them
+    y = np.array([1.0, 1.0 - delta, 0.0, 0.0, 0.0])
+    y_star = np.array([10.0, -10.0, 0.0, 0.0, 0.0])
+    return y, y_star, y[[1, 0, 2, 3, 4]], y_star
+
+
+def grid_tie_pair(delta):
+    # 2 x 2 grid, 4-neighbour: the paths through cells 1 and 2 are delta apart
+    y = np.array([1.0, 1.0, 1.0 + delta, 1.0])
+    y_star = np.array([0.0, 10.0, 0.0, 0.0])
+    return y, y_star, y[[0, 2, 1, 3]], y_star
+
+
+@pytest.mark.parametrize("task, pair, delta_last, ratio_last", [
+    (topk_task(5, 1), topk_swap_pair, 1e-6, 20.0 / np.sqrt(2.0) * 1e6),
+    (shortest_path_task(2, neighborhood=4), grid_tie_pair, 1e-5, 10.0 / np.sqrt(2.0) * 1e5),
+], ids=["topk", "grid"])
+def test_decision_quality_has_no_lipschitz_constant_where_the_decision_jumps(task, pair, delta_last, ratio_last):
+    # the ratio grows like 1/delta: no finite constant bounds it
+    deltas = delta_last * 10.0 ** np.arange(3, -1, -1)
+    ratios = [quality_ratio(task, *pair(d)) for d in deltas]
+    for coarse, fine in zip(ratios, ratios[1:]):
+        assert fine / coarse == pytest.approx(10.0, rel=1e-6)
+    assert ratios[-1] == pytest.approx(ratio_last, rel=1e-6)
+
+
 @pytest.mark.parametrize("task, label_dim", [
     (topk_task(5, 2), 5),
     (inventory_task(), 5),

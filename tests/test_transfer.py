@@ -299,10 +299,20 @@ def test_estimate_phi_properties():
         estimate_phi(task, f, plan, a, b, 0.0)
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), 0.0, -1.0])
+def test_estimate_phi_rejects_a_lambda_that_is_not_positive_and_finite(lam):
+    task = topk_task(5, 1)
+    a = gen_topk(0.0, n_resources=5, n_instances=4, seed=4)
+    plan = random_coupling(Marginal.uniform(4), Marginal.uniform(4), np.random.default_rng(0))
+    f = PredictiveModel("linear", np.array([2.0, 0.5]))
+    with pytest.raises(ValueError, match="lambda must be positive and finite"):
+        estimate_phi(task, f, plan, a, a, lam)
+
+
 def reference_bound(task, f, f_tilde, source, target, lam, k1, k2):
     """The bound report from datasets that carry the decisions the bound compares:
     the target's from the model's predictions, the source's from its labels."""
-    lifted_t = PtODataset(task, target.X, target.Y, oracle_batch(task, predict_rows(task, f, target.X)),
+    lifted_t = PtODataset(task, target.X, target.Y, oracle_batch(task, predict_rows(task, f.theta, target.X)),
                           provenance={"lifted": "model-induced decisions"})
     lifted_s = PtODataset(task, source.X, source.Y, oracle_batch(task, source.Y),
                           provenance={"lifted": "oracle decisions"})
@@ -310,7 +320,7 @@ def reference_bound(task, f, f_tilde, source, target, lam, k1, k2):
     cost = pairwise_cost_matrix(lifted_t, lifted_s, GroundCostWeights(lam * k1 * alpha_w, k2 * alpha_w, alpha_w))
     plan, d_ot = solve_exact(cost, Marginal.uniform(len(lifted_t)), Marginal.uniform(len(lifted_s)))
     I, J = np.nonzero(plan.matrix > 0)
-    gaps = predict_rows(task, f_tilde, lifted_t.X)[I] - predict_rows(task, f_tilde, lifted_s.X)[J]
+    gaps = predict_rows(task, f_tilde.theta, lifted_t.X)[I] - predict_rows(task, f_tilde.theta, lifted_s.X)[J]
     big_l = float(np.linalg.norm(gaps, axis=1).max())
     phi = estimate_phi(task, f_tilde, plan, lifted_t, lifted_s, lam)
     return BoundReport(
