@@ -14,29 +14,22 @@ from .ot_core import (
 from .tasks import (
     InventoryParams,
     TaskDefinition,
-    decision_quality,
-    decision_regret,
+    feasible_rows,
     fstock,
     inventory_task,
-    objective,
     objective_rows,
-    oracle,
     oracle_batch,
     shortest_path_task,
     topk_task,
-    validate_decision,
 )
 from .ground_cost import (
-    CostBreakdown,
     GroundCostWeights,
-    Sample,
     decision_aware_distance,
-    decision_quality_disparity,
     pairwise_cost_matrix,
-    pto_ground_cost,
 )
 from .datagen import (
     PtODataset,
+    Sample,
     gen_grid,
     gen_inventory,
     gen_topk,
@@ -47,11 +40,9 @@ from .transfer import (
     BoundReport,
     PredictiveModel,
     TransferRecord,
-    estimate_phi,
     evaluate_bound,
     mean_regret,
     predict_rows,
-    regret_transferability,
     rsquared,
     train_regret_min,
     transfer_records,

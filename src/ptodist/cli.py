@@ -194,8 +194,8 @@ def cmd_bound(args) -> int:
         k1, k2 = transfer.default_lipschitz_constants(task, source.Y.shape[1], seed=args.seed)
     all_hold = True
     rows = []
-    for lam in args.lambdas:
-        rep = transfer.evaluate_bound(task, f, f_tilde, source, target, lam, k1, k2)
+    reports = transfer._bound_reports(task, f, f_tilde, source, target, args.lambdas, k1, k2)
+    for lam, rep in zip(args.lambdas, reports):
         all_hold = all_hold and rep.holds
         rows.append(
             (fmt(lam), fmt(rep.lhs), fmt(rep.joint_regret_source),

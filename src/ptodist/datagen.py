@@ -13,16 +13,15 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .ground_cost import Sample
 from .tasks import (
     InventoryParams,
     TaskDefinition,
+    feasible_rows,
     inventory_task,
     objective_rows,
     oracle_batch,
     shortest_path_task,
     topk_task,
-    validate_decision,
 )
 
 DEFAULT_DEMAND_VALUES = (5.0, 10.0, 15.0, 20.0, 25.0)
@@ -36,6 +35,22 @@ class _SampleError(ValueError):
     def __init__(self, row: int, reason: str):
         super().__init__(f"sample {row} {reason}")
         self.row, self.reason = row, reason
+
+
+@dataclass(frozen=True, eq=False)
+class Sample:
+    """One predict-then-optimize instance: features x, labels y, decision z."""
+
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+
+    def __post_init__(self):
+        for name in ("x", "y", "z"):
+            v = np.asarray(getattr(self, name), dtype=float)
+            if v.ndim != 1 or v.size < 1:
+                raise ValueError(f"sample field {name!r} must be a nonempty vector")
+            object.__setattr__(self, name, v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +81,7 @@ class PtODataset:
         inventory = self.task.kind == "inventory"
         size = len(self.task.params["demand_values"]) if inventory else Z.shape[1]
         checks = [(~np.isfinite(np.hstack(arrays)).all(axis=1), "has a non-finite value"),
-                  ([not validate_decision(self.task, z) for z in Z], "carries an infeasible decision"),
+                  (~feasible_rows(self.task, Z), "carries an infeasible decision"),
                   ([Y.shape[1] != size] * len(Y), f"has {Y.shape[1]} labels, the task takes {size}")]
         if inventory:
             checks.append(((Y < 0).any(axis=1) | (np.abs(Y.sum(axis=1) - 1.0) > 1e-9),

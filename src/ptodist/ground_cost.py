@@ -18,25 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ot_core import CostMatrix, Marginal, SinkhornConvergenceError, solve_exact, solve_sinkhorn
-from .tasks import TaskDefinition, InfeasibleDecisionError, objective_rows, validate_decision
+from .tasks import objective_rows
 
 MODES = ("as-written", "symmetrized")
-
-
-@dataclass(frozen=True, eq=False)
-class Sample:
-    """One predict-then-optimize instance: features x, labels y, decision z."""
-
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-
-    def __post_init__(self):
-        for name in ("x", "y", "z"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.ndim != 1 or v.size < 1:
-                raise ValueError(f"sample field {name!r} must be a nonempty vector")
-            object.__setattr__(self, name, v)
 
 
 @dataclass(frozen=True)
@@ -53,34 +37,13 @@ class GroundCostWeights:
             raise ValueError(f"ground-cost weights must sum to 1, got {total!r}")
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
-    feature_term: float
-    label_term: float
-    decision_term: float
-    total: float
-
-
-def _check_feasible(task: TaskDefinition, z, z_prime) -> None:
-    if not validate_decision(task, z):
-        raise InfeasibleDecisionError("first decision argument is infeasible")
-    if not validate_decision(task, z_prime):
-        raise InfeasibleDecisionError("second decision argument is infeasible")
-
-
-def decision_quality_disparity(task: TaskDefinition, z, z_prime, y, y_prime) -> float:
-    """|g(z; y) - g(z'; y')| for two decisions under (possibly different) labels."""
-    _check_feasible(task, z, z_prime)
-    g = objective_rows(task, np.ravel(z), np.ravel(y))
-    g_prime = objective_rows(task, np.ravel(z_prime), np.ravel(y_prime))
-    return float(abs(g - g_prime))
-
-
 def _components(task, XA, YA, ZA, XB, YB, ZB, mode):
     # F, L and W between every row of A and every row of B. Decisions are not
     # checked here: callers pass checked ones.
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if XA.shape[1] != XB.shape[1]:  # a width of 1 would broadcast against any other
+        raise ValueError(f"sample dimensions differ: {XA.shape[1]} vs {XB.shape[1]} features")
     F = np.linalg.norm(XA[:, None, :] - XB[None, :, :], axis=2)
     L = np.linalg.norm(YA[:, None, :] - YB[None, :, :], axis=2)
     # W from the objective values g(z_i; y_j) of all decision/label pairings
@@ -93,25 +56,6 @@ def _components(task, XA, YA, ZA, XB, YB, ZB, mode):
 
 def _weighted(w: GroundCostWeights, F, L, W):
     return w.alpha_x * F + w.alpha_y * L + w.alpha_w * W
-
-
-def pto_ground_cost(
-    s: Sample,
-    s_prime: Sample,
-    w: GroundCostWeights,
-    task: TaskDefinition,
-    mode: str = "as-written",
-) -> CostBreakdown:
-    """The ground cost between two samples: one entry of :func:`component_matrices`."""
-    if s.x.shape != s_prime.x.shape or s.y.shape != s_prime.y.shape or s.z.shape != s_prime.z.shape:
-        raise ValueError(
-            f"sample dimensions differ: x {s.x.shape} vs {s_prime.x.shape}, "
-            f"y {s.y.shape} vs {s_prime.y.shape}, z {s.z.shape} vs {s_prime.z.shape}"
-        )
-    _check_feasible(task, s.z, s_prime.z)
-    rows = (v[None, :] for v in (s.x, s.y, s.z, s_prime.x, s_prime.y, s_prime.z))
-    F, L, W = (float(c[0, 0]) for c in _components(task, *rows, mode))
-    return CostBreakdown(F, L, W, _weighted(w, F, L, W))
 
 
 def component_matrices(dataset, dataset_prime, mode: str = "as-written"):

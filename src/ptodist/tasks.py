@@ -1,4 +1,4 @@
-"""Downstream optimization problems: objectives, oracles, and regret.
+"""Downstream optimization problems: objectives, oracles, and feasibility.
 
 Three task families are supported:
 
@@ -20,10 +20,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-
-
-class InfeasibleDecisionError(ValueError):
-    """A decision vector is not feasible for its task."""
 
 
 class NegativeCostError(ArithmeticError):
@@ -137,26 +133,37 @@ def _expected_stock_cost(task: TaskDefinition, probs: np.ndarray, z: np.ndarray)
     return total
 
 
-def validate_decision(task: TaskDefinition, z) -> bool:
-    z = np.asarray(z, dtype=float)
+def feasible_rows(task: TaskDefinition, Z) -> np.ndarray:
+    """Whether each row of stacked decisions Z is feasible for the task.
+
+    Top-K: ``n_resources`` entries, each 0 or 1, summing to K. Inventory: one
+    entry, at least 0. Shortest path: p*p cells, each 0 or 1, with the source
+    and the sink set and every set cell reachable from the source through set
+    cells. A row of another width, or holding NaN, is infeasible.
+    """
+    Z = np.asarray(Z, dtype=float)
+    if task.kind == "inventory":
+        return Z[:, 0] >= 0 if Z.shape[1] == 1 else np.zeros(len(Z), dtype=bool)
+    width = task.params["p"] ** 2 if task.kind == "shortest_path" else task.params["n_resources"]
+    if Z.shape[1] != width:
+        return np.zeros(len(Z), dtype=bool)
+    ok = ((Z == 0.0) | (Z == 1.0)).all(axis=1)
     if task.kind == "topk":
-        n, k = task.params["n_resources"], task.params["k"]
-        if z.shape != (n,):
-            return False
-        binary = np.all((z == 0.0) | (z == 1.0))
-        return bool(binary and z.sum() == k)
-    if task.kind == "shortest_path":
-        p = task.params["p"]
-        if z.shape != (p * p,) and z.shape != (p, p):
-            return False
-        mask = z.reshape(p, p)
-        if not np.all((mask == 0.0) | (mask == 1.0)):
-            return False
-        if mask[0, 0] != 1.0 or mask[p - 1, p - 1] != 1.0:
-            return False
-        return _mask_is_connected_path(mask, task.params.get("neighborhood", 8))
-    # inventory
-    return z.shape == (1,) and z[0] >= 0
+        return ok & (Z.sum(axis=1) == task.params["k"])
+    # flood fill from the source on every mask at once, through padded shifted views
+    p = task.params["p"]
+    mask = Z.reshape(-1, p, p) == 1.0
+    moves = _neighbor_moves(task.params.get("neighborhood", 8))
+    padded = np.zeros((len(Z), p + 2, p + 2), dtype=bool)  # a border no move leaves through
+    reached = padded[:, 1:-1, 1:-1]
+    reached[:, 0, 0] = mask[:, 0, 0]
+    while True:
+        near = np.logical_or.reduce([padded[:, 1 + di : p + 1 + di, 1 + dj : p + 1 + dj] for di, dj in moves])
+        grown = near & mask & ~reached
+        if not grown.any():
+            break
+        reached |= grown
+    return ok & mask[:, 0, 0] & mask[:, -1, -1] & (reached == mask).all(axis=(1, 2))
 
 
 def _neighbor_moves(neighborhood: int):
@@ -165,29 +172,12 @@ def _neighbor_moves(neighborhood: int):
     return ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
 
 
-def _mask_is_connected_path(mask: np.ndarray, neighborhood: int) -> bool:
-    # every masked cell reachable from the source through masked cells,
-    # with the sink among them
-    p = mask.shape[0]
-    moves = _neighbor_moves(neighborhood)
-    seen = {(0, 0)}
-    stack = [(0, 0)]
-    while stack:
-        i, j = stack.pop()
-        for di, dj in moves:
-            ni, nj = i + di, j + dj
-            if 0 <= ni < p and 0 <= nj < p and mask[ni, nj] == 1.0 and (ni, nj) not in seen:
-                seen.add((ni, nj))
-                stack.append((ni, nj))
-    return len(seen) == int(mask.sum()) and (p - 1, p - 1) in seen
-
-
 def objective_rows(task: TaskDefinition, Z, Y) -> np.ndarray:
     """g(z_i; y_i) for each row of stacked decisions Z and labels Y.
 
     Each row is one vector along the last axis; a single pair of vectors
-    gives a scalar. Rows are not checked for feasibility; :func:`objective`
-    is the checked one-row form.
+    gives a scalar. Rows are not checked for feasibility: datasets check
+    theirs once, with :func:`feasible_rows`, and the oracle's are feasible.
     """
     Z = np.asarray(Z, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -197,15 +187,6 @@ def objective_rows(task: TaskDefinition, Z, Y) -> np.ndarray:
     if task.kind == "shortest_path":
         return -np.vecdot(Z, Y) - task.params.get("length_weight", 0.0) * Z.sum(axis=-1)
     return -_expected_stock_cost(task, Y, Z)
-
-
-def objective(task: TaskDefinition, z, y) -> float:
-    """Decision quality g(z; y); larger is better for every task kind."""
-    z = np.asarray(z, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not validate_decision(task, z):
-        raise InfeasibleDecisionError(f"infeasible decision for task {task.kind!r}")
-    return float(objective_rows(task, z.ravel(), y.ravel()))
 
 
 def oracle_batch(task: TaskDefinition, Y) -> np.ndarray:
@@ -229,11 +210,6 @@ def oracle_batch(task: TaskDefinition, Y) -> np.ndarray:
     if task.kind == "shortest_path":
         return _shortest_path_oracle_batch(task, Y)
     return _inventory_oracle_batch(task, Y)
-
-
-def oracle(task: TaskDefinition, y) -> np.ndarray:
-    """Optimal decision argmax_z g(z; y): the one-row form of :func:`oracle_batch`."""
-    return oracle_batch(task, np.asarray(y, dtype=float).reshape(1, -1))[0]
 
 
 def _shortest_path_oracle_batch(task: TaskDefinition, Y: np.ndarray) -> np.ndarray:
@@ -335,17 +311,6 @@ def _inventory_oracle_batch(task: TaskDefinition, P: np.ndarray) -> np.ndarray:
     vals[:, m:][inside] = _expected_stock_cost(task, P[rows], candidates[:, m:][inside][:, None])
     best = np.argmin(vals, axis=1)  # the first minimum
     return candidates[np.arange(n), best][:, None]
-
-
-def decision_quality(task: TaskDefinition, y_hat, y) -> float:
-    """g(w*(y_hat); y): quality under true costs of the decision induced by predictions."""
-    # the oracle's decisions are feasible, so they are scored unchecked
-    return float(objective_rows(task, oracle(task, y_hat), np.ravel(y)))
-
-
-def decision_regret(task: TaskDefinition, y_hat, y) -> float:
-    """|q(y, y) - q(y_hat, y)|; zero when the induced decision is optimal."""
-    return abs(decision_quality(task, y, y) - decision_quality(task, y_hat, y))
 
 
 def empirical_lipschitz(

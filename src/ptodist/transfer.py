@@ -15,7 +15,7 @@ import numpy as np
 
 from .datagen import PtODataset, score_probs
 from .ground_cost import CostMatrix, GroundCostWeights, _components, _weighted, component_matrices
-from .ot_core import Marginal, TransportPlan, _assign, solve_exact
+from .ot_core import Marginal, _assign, solve_exact
 from .tasks import TaskDefinition, empirical_lipschitz, objective_rows, oracle_batch
 
 
@@ -173,26 +173,6 @@ def train_regret_min(
     return PredictiveModel("linear", best_theta)
 
 
-def regret_transferability(
-    task: TaskDefinition,
-    source: PtODataset,
-    target: PtODataset,
-    budget: int = 5000,
-    seed: int = 0,
-    source_id: str = "source",
-    target_id: str = "target",
-) -> TransferRecord:
-    """Relative regret improvement on the target from the source-trained model.
-
-    When the target-trained regret is numerically zero the ratio is undefined;
-    the record then carries ``transferability=None`` and the absolute source
-    regret stands in for qualitative comparison.
-    """
-    (record,) = transfer_records(task, [source], target, budget=budget, seed=seed,
-                                 source_ids=[source_id], target_id=target_id)
-    return record
-
-
 def transfer_records(
     task: TaskDefinition,
     sources,
@@ -202,10 +182,15 @@ def transfer_records(
     source_ids=None,
     target_id: str = "target",
 ) -> list[TransferRecord]:
-    """:func:`regret_transferability` of each source onto one target.
+    """Regret transferability of each source onto one target: the relative
+    regret improvement (r_tt - r_st) / r_tt on the target of the model trained
+    on the source, against the model trained on the target.
 
-    The target model is trained once and shared by every record. Sources are
-    named ``"0"``, ``"1"``, ... unless ``source_ids`` is given.
+    The target model is trained once and shared by every record. When its
+    regret r_tt is numerically zero the ratio is undefined; the record then
+    carries ``transferability=None`` and the absolute source regret stands in
+    for qualitative comparison. Sources are named ``"0"``, ``"1"``, ... unless
+    ``source_ids`` is given.
     """
     if any(s.task != target.task for s in sources):
         raise ValueError("source and target must be from the same task family")
@@ -351,33 +336,18 @@ def _scaled_abs_diff(u, v, scale):
     return D
 
 
-def estimate_phi(
-    task: TaskDefinition,
-    f_tilde: PredictiveModel,
-    plan: TransportPlan,
-    dataset_a: PtODataset,
-    dataset_b: PtODataset,
-    lam: float,
-) -> float:
-    """Mass fraction of coupled pairs violating the lambda-Lipschitz condition."""
-    if not 0 < lam < np.inf:
-        raise ValueError(f"lambda must be positive and finite, got {lam!r}")
-    return _phi(plan, *_coupled_gaps(task, f_tilde, plan, dataset_a, dataset_b), lam)
-
-
 def _phi(plan, mass, gaps, dx, lam):
-    """The mass fraction of :func:`estimate_phi`, from the arrays of :func:`_coupled_gaps`."""
+    """The mass fraction of coupled pairs violating the lambda-Lipschitz
+    condition gap <= lambda * dx, from the arrays of :func:`_coupled_gaps`."""
     viol = mass[gaps > lam * dx + 1e-12].sum()
     return float(min(max(viol / plan.matrix.sum(), 0.0), 1.0))
 
 
-def _coupled_gaps(task, f_tilde, plan, dataset_a, dataset_b):
-    """Over the plan's nonzero entries (i, j): the mass, |f(x_i) - f(x'_j)| and |x_i - x'_j|."""
+def _coupled_gaps(plan, pred_a, pred_b, X_a, X_b):
+    """Over the plan's nonzero entries (i, j): the mass, |pred_a_i - pred_b_j| and |x_i - x'_j|."""
     I, J = np.nonzero(plan.matrix > 0)
-    pred_a = predict_rows(task, f_tilde.theta, dataset_a.X)
-    pred_b = predict_rows(task, f_tilde.theta, dataset_b.X)
     gaps = np.linalg.norm(pred_a[I] - pred_b[J], axis=1)
-    dx = np.linalg.norm(dataset_a.X[I] - dataset_b.X[J], axis=1)
+    dx = np.linalg.norm(X_a[I] - X_b[J], axis=1)
     return plan.matrix[I, J], gaps, dx
 
 
@@ -411,35 +381,46 @@ def evaluate_bound(
     from one pass over the plan's coupled pairs. ``lam``, ``k1`` and ``k2``
     must be positive and finite.
     """
-    for name, value in (("lambda", lam), ("k1", k1), ("k2", k2)):
+    (report,) = _bound_reports(task, f, f_tilde, source, target, [lam], k1, k2)
+    return report
+
+
+def _bound_reports(task, f, f_tilde, source, target, lams, k1, k2) -> list[BoundReport]:
+    """:func:`evaluate_bound` at each lambda of ``lams``. The decisions, the
+    component matrices, the three regrets and the predictions of ``f_tilde``
+    do not depend on lambda and are computed once."""
+    for name, value in [*(("lambda", lam) for lam in lams), ("k1", k1), ("k2", k2)]:
         if not 0 < value < np.inf:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
     if source.task != target.task:
         raise ValueError("source and target must be from the same task family")
-    alpha_w = 1.0 / (lam * k1 + k2 + 1.0)
-    weights = GroundCostWeights(lam * k1 * alpha_w, k2 * alpha_w, alpha_w)
-
     # rows: target (predicted decisions); cols: source (oracle decisions).
     # As-written mode scores both decisions under the source labels.
     z_t = oracle_batch(task, predict_rows(task, f.theta, target.X))
     z_s = oracle_batch(task, source.Y)
     F, L, W = _components(task, target.X, target.Y, z_t, source.X, source.Y, z_s, "as-written")
-    plan, d_ot = solve_exact(CostMatrix(_weighted(weights, F, L, W)),
-                             Marginal.uniform(len(target)), Marginal.uniform(len(source)))
-
-    mass, gaps, dx = _coupled_gaps(task, f_tilde, plan, target, source)
-    big_l = float(gaps.max())
-    phi = _phi(plan, mass, gaps, dx, lam)
-    return BoundReport(
-        lhs=mean_regret(task, f, target),
-        joint_regret_source=mean_regret(task, f_tilde, source),
-        joint_regret_target=mean_regret(task, f_tilde, target),
-        lipschitz_term=k1 * big_l * phi,
-        scaled_ot_term=d_ot / alpha_w,
-        k1=k1,
-        k2=k2,
-        lam=lam,
-        alpha_w=alpha_w,
-        phi=phi,
-        envelope=big_l,
-    )
+    pred_t, pred_s = (predict_rows(task, f_tilde.theta, d.X) for d in (target, source))
+    regrets = {"lhs": mean_regret(task, f, target),
+               "joint_regret_source": mean_regret(task, f_tilde, source),
+               "joint_regret_target": mean_regret(task, f_tilde, target)}
+    reports = []
+    for lam in lams:
+        alpha_w = 1.0 / (lam * k1 + k2 + 1.0)
+        weights = GroundCostWeights(lam * k1 * alpha_w, k2 * alpha_w, alpha_w)
+        plan, d_ot = solve_exact(CostMatrix(_weighted(weights, F, L, W)),
+                                 Marginal.uniform(len(target)), Marginal.uniform(len(source)))
+        mass, gaps, dx = _coupled_gaps(plan, pred_t, pred_s, target.X, source.X)
+        big_l = float(gaps.max())
+        phi = _phi(plan, mass, gaps, dx, lam)
+        reports.append(BoundReport(
+            **regrets,
+            lipschitz_term=k1 * big_l * phi,
+            scaled_ot_term=d_ot / alpha_w,
+            k1=k1,
+            k2=k2,
+            lam=lam,
+            alpha_w=alpha_w,
+            phi=phi,
+            envelope=big_l,
+        ))
+    return reports

@@ -8,7 +8,7 @@ from scipy.optimize import linear_sum_assignment, linprog, minimize, nnls
 
 from ptodist.datagen import score_probs
 from ptodist.ot_core import SCALING_BOUND, Marginal, TransportPlan, _log_scaling
-from ptodist.tasks import InventoryParams, decision_quality, fstock, objective_rows
+from ptodist.tasks import InventoryParams, fstock, objective_rows, oracle_batch
 from ptodist.transfer import PredictiveModel, mean_regret, model_dim
 
 
@@ -191,6 +191,24 @@ def linprog_plan(C, a, b):
     return np.maximum(res.x.reshape(n, m), 0.0)
 
 
+def mask_is_connected_from_source(mask: np.ndarray, neighborhood: int) -> bool:
+    """Whether every set cell of a p x p 0/1 mask is reachable from the source
+    (0, 0) through set cells, with the sink among them: a depth-first search."""
+    p = mask.shape[0]
+    moves = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)
+             if (di, dj) != (0, 0) and (neighborhood == 8 or 0 in (di, dj))]
+    seen = {(0, 0)}
+    stack = [(0, 0)]
+    while stack:
+        i, j = stack.pop()
+        for di, dj in moves:
+            ni, nj = i + di, j + dj
+            if 0 <= ni < p and 0 <= nj < p and mask[ni, nj] == 1.0 and (ni, nj) not in seen:
+                seen.add((ni, nj))
+                stack.append((ni, nj))
+    return len(seen) == int(mask.sum()) and (p - 1, p - 1) in seen
+
+
 def lipschitz_ratios_by_trial(task, label_dim, scale, trials, seed):
     """The ratios of ``empirical_lipschitz``'s probe, one trial and two one-row oracle calls at a time."""
     rng = np.random.default_rng(seed)
@@ -200,7 +218,8 @@ def lipschitz_ratios_by_trial(task, label_dim, scale, trials, seed):
         y, y_star, z, z_star = rng.uniform(low, scale, size=(4, label_dim))
         if task.kind == "inventory":
             y, y_star, z, z_star = (np.abs(v) / np.abs(v).sum() for v in (y, y_star, z, z_star))
-        num = abs(decision_quality(task, y, y_star) - decision_quality(task, z, z_star))
+        num = abs(objective_rows(task, oracle_batch(task, y[None])[0], y_star)
+                  - objective_rows(task, oracle_batch(task, z[None])[0], z_star))
         den = np.linalg.norm(y - z) + np.linalg.norm(y_star - z_star)
         if den > 1e-12:
             ratios[t] = num / den

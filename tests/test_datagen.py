@@ -14,7 +14,7 @@ from ptodist.datagen import (
     score_probs,
     write_dataset,
 )
-from ptodist.tasks import objective, oracle, topk_task, validate_decision
+from ptodist.tasks import feasible_rows, objective_rows, oracle_batch, topk_task
 
 
 def datasets_equal(a, b):
@@ -95,7 +95,7 @@ def test_generators_match_per_instance_draws():
     for ds, (X, Y) in cases:
         # bit for bit: the batched draws and arithmetic are the per-instance ones
         assert np.array_equal(ds.X, X) and np.array_equal(ds.Y, Y)
-        assert np.array_equal(ds.Z, np.stack([oracle(ds.task, y) for y in Y]))
+        assert np.array_equal(ds.Z, np.stack([oracle_batch(ds.task, y[None])[0] for y in Y]))
 
 
 def test_gen_topk_labeling_and_sorting():
@@ -104,7 +104,7 @@ def test_gen_topk_labeling_and_sorting():
         for s in ds.samples:
             assert np.all(np.diff(s.x) >= 0.0)  # sorted features
             assert np.allclose(s.y, 10.0 * (s.x**3 - gamma * s.x))
-            assert np.array_equal(s.z, oracle(ds.task, s.y))
+            assert np.array_equal(s.z, oracle_batch(ds.task, s.y[None])[0])
     # spot values of the labeling polynomial itself
     assert abs(10.0 * (0.5**3 - 0.0 * 0.5) - 1.25) < 1e-12
     assert 10.0 * (0.0**3 - 0.65 * 0.0) == 0.0
@@ -139,7 +139,7 @@ def test_gen_grid_structure():
         assert s.x.size == 36 and s.y.size == 36
         assert s.x.min() >= 0.0 and s.x.max() <= 1.0
         assert s.y.min() >= 0.8 and s.y.max() <= 9.2
-        assert validate_decision(ds.task, s.z)
+        assert feasible_rows(ds.task, s.z[None])[0]
         # per-cell costs constant within a class
         classes = np.round(s.x * 3).astype(int)
         for c in np.unique(classes):
@@ -159,13 +159,14 @@ def test_gen_grid_single_class_uniform_field():
     for s in ds.samples:
         assert np.unique(s.y).size == 1
         # all monotone shortest paths tie; the oracle is still deterministic
-        assert np.array_equal(s.z, oracle(ds.task, s.y))
+        assert np.array_equal(s.z, oracle_batch(ds.task, s.y[None])[0])
 
 
 def test_gen_grid_decisions_are_oracle_optimal():
     ds = gen_grid(class_cost_seed=7, map_seed=8, p=4, n_instances=5)
     for s in ds.samples:
-        assert abs(objective(ds.task, s.z, s.y) - objective(ds.task, oracle(ds.task, s.y), s.y)) < 1e-9
+        best = objective_rows(ds.task, oracle_batch(ds.task, s.y[None])[0], s.y)
+        assert abs(objective_rows(ds.task, s.z, s.y) - best) < 1e-9
 
 
 def test_score_probs_example():
@@ -181,7 +182,7 @@ def test_gen_inventory_structure():
         assert abs(s.y.sum() - 1.0) < 1e-12
         assert np.all(s.y >= 0.0)
         assert s.z.size == 1 and s.z[0] >= 0.0
-        assert np.array_equal(s.z, oracle(ds.task, s.y))
+        assert np.array_equal(s.z, oracle_batch(ds.task, s.y[None])[0])
 
 
 def test_gen_inventory_shift_keeps_mechanism():

@@ -6,35 +6,40 @@ import numpy as np
 import pytest
 
 from _reference import component_matrices_by_row
-from ptodist.datagen import PtODataset, gen_grid, gen_inventory, gen_topk
+from ptodist.datagen import PtODataset, Sample, gen_grid, gen_inventory, gen_topk
 from ptodist.ground_cost import (
     GroundCostWeights,
-    Sample,
+    _components,
     component_matrices,
     decision_aware_distance,
-    decision_quality_disparity,
     pairwise_cost_matrix,
-    pto_ground_cost,
 )
-from ptodist.tasks import (
-    InfeasibleDecisionError,
-    decision_regret,
-    oracle,
-    topk_task,
-)
+from ptodist.tasks import objective_rows, oracle_batch, topk_task
+
+
+def one_row(task, x, y, z):
+    """A dataset of one sample."""
+    return PtODataset(task=task, X=[x], Y=[y], Z=[z], provenance={"generator": "test"})
+
+
+def random_topk_rows(rng, task, size):
+    n = task.params["n_resources"]
+    X = np.stack([np.sort(rng.uniform(-1.0, 1.0, n)) for _ in range(size)])
+    Y = rng.normal(0.0, 3.0, (size, n))
+    return X, Y, oracle_batch(task, Y)
 
 
 def random_topk_sample(rng, task):
-    n = task.params["n_resources"]
-    x = np.sort(rng.uniform(-1.0, 1.0, n))
-    y = rng.normal(0.0, 3.0, n)
-    return Sample(x=x, y=y, z=oracle(task, y))
+    return one_row(task, *(v[0] for v in random_topk_rows(rng, task, 1)))
 
 
 def topk_dataset(rng, task, size):
-    samples = [random_topk_sample(rng, task) for _ in range(size)]
-    X, Y, Z = (np.stack([getattr(s, f) for s in samples]) for f in "xyz")
-    return PtODataset(task=task, X=X, Y=Y, Z=Z, provenance={"generator": "test"})
+    return PtODataset(task, *random_topk_rows(rng, task, size), provenance={"generator": "test"})
+
+
+def pair_cost(d, d_prime, w, mode="as-written"):
+    """The ground cost between two one-sample datasets: their 1 x 1 cost matrix."""
+    return float(pairwise_cost_matrix(d, d_prime, w, mode).entries[0, 0])
 
 
 def test_sample_validation():
@@ -55,52 +60,40 @@ def test_weights_validation():
 
 def test_disparity_examples():
     t = topk_task(3, 1)
-    y = np.array([3.0, 1.0, 2.0])
-    z0 = np.array([1.0, 0.0, 0.0])
-    z1 = np.array([0.0, 1.0, 0.0])
-    assert decision_quality_disparity(t, z0, z0, y, y) == 0.0
-    assert decision_quality_disparity(t, z0, z1, y, y) == 2.0
+    Y = np.array([[3.0, 1.0, 2.0]] * 2)
+    Z = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    X = np.zeros((2, 3))
+    _, _, W = _components(t, X, Y, Z, X, Y, Z, "as-written")
+    assert W.tolist() == [[0.0, 2.0], [2.0, 0.0]]
 
 
 def test_disparity_recovers_regret():
-    # l_g(w*(y_hat), w*(y); y, y) is exactly the decision regret
+    # under shared labels y, the decision term between w*(y_hat) and w*(y) is
+    # exactly the decision regret
     rng = np.random.default_rng(6)
     t = topk_task(5, 2)
-    for _ in range(50):
-        y = rng.normal(0.0, 4.0, 5)
-        y_hat = rng.normal(0.0, 4.0, 5)
-        lg = decision_quality_disparity(t, oracle(t, y_hat), oracle(t, y), y, y)
-        assert abs(lg - decision_regret(t, y_hat, y)) < 1e-12
-
-
-def test_disparity_names_infeasible_argument():
-    t = topk_task(3, 1)
-    y = np.ones(3)
-    good = np.array([1.0, 0.0, 0.0])
-    bad = np.array([1.0, 1.0, 0.0])
-    with pytest.raises(InfeasibleDecisionError, match="first"):
-        decision_quality_disparity(t, bad, good, y, y)
-    with pytest.raises(InfeasibleDecisionError, match="second"):
-        decision_quality_disparity(t, good, bad, y, y)
+    Y = rng.normal(0.0, 4.0, (50, 5))
+    Y_hat = rng.normal(0.0, 4.0, (50, 5))
+    Z, Z_hat = oracle_batch(t, Y), oracle_batch(t, Y_hat)
+    X = np.zeros((50, 5))
+    _, _, W = _components(t, X, Y, Z_hat, X, Y, Z, "as-written")
+    regret = np.abs(objective_rows(t, Z, Y) - objective_rows(t, Z_hat, Y))
+    assert np.abs(np.diag(W) - regret).max() < 1e-12
 
 
 def test_ground_cost_examples():
     t = topk_task(1, 1)
-    s = Sample(x=np.array([0.0]), y=np.array([1.0]), z=np.array([1.0]))
-    sp = Sample(x=np.array([3.0]), y=np.array([2.0]), z=np.array([1.0]))
-    cb = pto_ground_cost(s, sp, GroundCostWeights(1.0, 0.0, 0.0), t)
-    assert cb.total == 3.0
-
-    cb = pto_ground_cost(s, s, GroundCostWeights(0.3, 0.3, 0.4), t)
-    assert cb.total == 0.0
+    s = one_row(t, [0.0], [1.0], [1.0])
+    sp = one_row(t, [3.0], [2.0], [1.0])
+    assert pair_cost(s, sp, GroundCostWeights(1.0, 0.0, 0.0)) == 3.0
+    assert pair_cost(s, s, GroundCostWeights(0.3, 0.3, 0.4)) == 0.0
 
     t3 = topk_task(3, 1)
-    y = np.array([3.0, 1.0, 2.0])
-    s = Sample(x=np.zeros(3), y=y, z=np.array([1.0, 0.0, 0.0]))
-    sp = Sample(x=np.zeros(3), y=y, z=np.array([0.0, 1.0, 0.0]))
+    y = [3.0, 1.0, 2.0]
+    s = one_row(t3, np.zeros(3), y, [1.0, 0.0, 0.0])
+    sp = one_row(t3, np.zeros(3), y, [0.0, 1.0, 0.0])
     for mode in ("as-written", "symmetrized"):
-        cb = pto_ground_cost(s, sp, GroundCostWeights(0.0, 0.0, 1.0), t3, mode=mode)
-        assert cb.total == 2.0
+        assert pair_cost(s, sp, GroundCostWeights(0.0, 0.0, 1.0), mode=mode) == 2.0
 
 
 def test_ground_cost_breakdown_linearity():
@@ -108,21 +101,24 @@ def test_ground_cost_breakdown_linearity():
     t = topk_task(4, 1)
     s = random_topk_sample(rng, t)
     sp = random_topk_sample(rng, t)
+    F, L, W = (float(c[0, 0]) for c in component_matrices(s, sp))
     for _ in range(20):
         w = GroundCostWeights(*rng.dirichlet(np.ones(3)))
-        cb = pto_ground_cost(s, sp, w, t)
-        expect = w.alpha_x * cb.feature_term + w.alpha_y * cb.label_term + w.alpha_w * cb.decision_term
-        assert abs(cb.total - expect) < 1e-12
+        expect = w.alpha_x * F + w.alpha_y * L + w.alpha_w * W
+        assert abs(pair_cost(s, sp, w) - expect) < 1e-12
 
 
 def test_ground_cost_dimension_mismatch():
     t = topk_task(2, 1)
-    s = Sample(x=np.zeros(2), y=np.zeros(2), z=np.array([1.0, 0.0]))
-    sp = Sample(x=np.zeros(3), y=np.zeros(2), z=np.array([1.0, 0.0]))
-    with pytest.raises(ValueError, match="dimensions differ"):
-        pto_ground_cost(s, sp, GroundCostWeights(1.0, 0.0, 0.0), t)
+    s = one_row(t, np.zeros(2), np.zeros(2), [1.0, 0.0])
+    for width in (1, 3):  # one feature would broadcast against two
+        sp = one_row(t, np.zeros(width), np.zeros(2), [1.0, 0.0])
+        with pytest.raises(ValueError, match="dimensions differ"):
+            pair_cost(s, sp, GroundCostWeights(1.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="dimensions differ"):
+            pair_cost(sp, s, GroundCostWeights(1.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="mode"):
-        pto_ground_cost(s, s, GroundCostWeights(1.0, 0.0, 0.0), t, mode="other")
+        pair_cost(s, s, GroundCostWeights(1.0, 0.0, 0.0), mode="other")
 
 
 def test_symmetrized_mode_pointwise_symmetry():
@@ -131,8 +127,8 @@ def test_symmetrized_mode_pointwise_symmetry():
     for _ in range(50):
         s, sp = random_topk_sample(rng, t), random_topk_sample(rng, t)
         w = GroundCostWeights(*rng.dirichlet(np.ones(3)))
-        ab = pto_ground_cost(s, sp, w, t, mode="symmetrized").total
-        ba = pto_ground_cost(sp, s, w, t, mode="symmetrized").total
+        ab = pair_cost(s, sp, w, mode="symmetrized")
+        ba = pair_cost(sp, s, w, mode="symmetrized")
         assert abs(ab - ba) < 1e-12
 
 
@@ -140,12 +136,10 @@ def test_fixed_label_lg_triangle_inequality():
     rng = np.random.default_rng(27)
     t = topk_task(5, 2)
     for _ in range(200):
-        y = rng.normal(0.0, 5.0, 5)
-        z1, z2, z3 = (oracle(t, rng.normal(0.0, 5.0, 5)) for _ in range(3))
-        d13 = decision_quality_disparity(t, z1, z3, y, y)
-        d12 = decision_quality_disparity(t, z1, z2, y, y)
-        d23 = decision_quality_disparity(t, z2, z3, y, y)
-        assert d13 <= d12 + d23 + 1e-9
+        Y = np.tile(rng.normal(0.0, 5.0, 5), (3, 1))
+        Z = oracle_batch(t, rng.normal(0.0, 5.0, (3, 5)))
+        _, _, W = _components(t, np.zeros((3, 1)), Y, Z, np.zeros((3, 1)), Y, Z, "as-written")
+        assert W[0, 2] <= W[0, 1] + W[1, 2] + 1e-9
 
 
 def test_symmetrized_triangle_inequality_fixed_labels():
@@ -159,12 +153,12 @@ def test_symmetrized_triangle_inequality_fixed_labels():
         trip = []
         for _ in range(3):
             x = np.sort(rng.uniform(-1.0, 1.0, 4))
-            z = oracle(t, rng.normal(0.0, 3.0, 4))
-            trip.append(Sample(x=x, y=y, z=z))
+            z = oracle_batch(t, rng.normal(0.0, 3.0, (1, 4)))[0]
+            trip.append(one_row(t, x, y, z))
         s1, s2, s3 = trip
-        d13 = pto_ground_cost(s1, s3, w, t, mode="symmetrized").total
-        d12 = pto_ground_cost(s1, s2, w, t, mode="symmetrized").total
-        d23 = pto_ground_cost(s2, s3, w, t, mode="symmetrized").total
+        d13 = pair_cost(s1, s3, w, mode="symmetrized")
+        d12 = pair_cost(s1, s2, w, mode="symmetrized")
+        d23 = pair_cost(s2, s3, w, mode="symmetrized")
         assert d13 <= d12 + d23 + 1e-9
 
 
@@ -174,10 +168,10 @@ def test_identity_of_indiscernibles():
     w = GroundCostWeights(0.2, 0.3, 0.5)  # all components strictly positive
     for _ in range(50):
         s = random_topk_sample(rng, t)
-        assert pto_ground_cost(s, s, w, t, mode="symmetrized").total == 0.0
+        assert pair_cost(s, s, w, mode="symmetrized") == 0.0
         sp = random_topk_sample(rng, t)
-        if not (np.array_equal(s.x, sp.x) and np.array_equal(s.y, sp.y)):
-            assert pto_ground_cost(s, sp, w, t, mode="symmetrized").total > 0.0
+        if not (np.array_equal(s.X, sp.X) and np.array_equal(s.Y, sp.Y)):
+            assert pair_cost(s, sp, w, mode="symmetrized") > 0.0
 
 
 def test_pairwise_matrix_matches_entrywise_recompute():
@@ -197,7 +191,8 @@ def test_pairwise_matrix_matches_entrywise_recompute():
             M = pairwise_cost_matrix(d_a, d_b, w, mode=mode).entries
             for i, sa in enumerate(d_a.samples):
                 for j, sb in enumerate(d_b.samples):
-                    assert abs(M[i, j] - pto_ground_cost(sa, sb, w, d_a.task, mode=mode).total) < 1e-12
+                    one_a, one_b = one_row(d_a.task, sa.x, sa.y, sa.z), one_row(d_b.task, sb.x, sb.y, sb.z)
+                    assert abs(M[i, j] - pair_cost(one_a, one_b, w, mode=mode)) < 1e-12
 
 
 def test_component_matrices_equal_row_by_row_reference():
@@ -242,7 +237,7 @@ def test_distance_self_and_singleton():
 
     s1 = topk_dataset(rng, t, 1)
     s2 = topk_dataset(rng, t, 1)
-    direct = pto_ground_cost(s1.samples[0], s2.samples[0], w, t).total
+    direct = pair_cost(s1, s2, w)
     assert abs(decision_aware_distance(s1, s2, w) - direct) < 1e-12
 
 

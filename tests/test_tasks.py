@@ -1,4 +1,4 @@
-"""Tests for task objectives, oracles, and regret, against brute-force oracles."""
+"""Tests for task objectives, oracles, regret and feasibility, against brute-force oracles."""
 
 import heapq
 import itertools
@@ -11,28 +11,44 @@ from _reference import (
     accumulated_stock_cost,
     inventory_oracle_rebuilt,
     lipschitz_ratios_by_trial,
+    mask_is_connected_from_source,
     solve_inventory_qp_kkt,
     topk_oracle_put_along_axis,
 )
 from ptodist import tasks
 from ptodist.tasks import (
-    InfeasibleDecisionError,
     InventoryParams,
     NegativeCostError,
     TaskDefinition,
-    decision_quality,
-    decision_regret,
     empirical_lipschitz,
+    feasible_rows,
     fstock,
     inventory_task,
-    objective,
     objective_rows,
-    oracle,
     oracle_batch,
     shortest_path_task,
     topk_task,
-    validate_decision,
 )
+
+
+def oracle_row(task, y):
+    """The oracle's decision for one label vector: ``oracle_batch`` on a one-row stack."""
+    return oracle_batch(task, np.reshape(y, (1, -1)))[0]
+
+
+def objective_row(task, z, y):
+    """g(z; y) for one decision and one label vector: ``objective_rows`` on one-row stacks."""
+    return float(objective_rows(task, np.reshape(z, (1, -1)), np.reshape(y, (1, -1)))[0])
+
+
+def regret_row(task, y_hat, y):
+    """|g(w*(y); y) - g(w*(y_hat); y)|: zero when the decision for y_hat is optimal under y."""
+    return abs(objective_row(task, oracle_row(task, y), y) - objective_row(task, oracle_row(task, y_hat), y))
+
+
+def feasible(task, z):
+    """Whether one decision vector is feasible: ``feasible_rows`` on a one-row stack."""
+    return bool(feasible_rows(task, np.reshape(z, (1, -1)))[0])
 
 
 def brute_force_topk(task, y):
@@ -125,30 +141,24 @@ def test_fstock_examples():
 def test_objective_examples():
     t = topk_task(3, 1)
     z = np.array([0.0, 0.0, 1.0])
-    assert objective(t, z, np.array([3.0, 1.0, 2.0])) == 2.0
+    assert objective_row(t, z, np.array([3.0, 1.0, 2.0])) == 2.0
 
     sp = shortest_path_task(2)
     z = np.array([1.0, 1.0, 0.0, 1.0])  # cells (0,0), (0,1), (1,1)
-    assert objective(sp, z, np.ones(4)) == -3.0
+    assert objective_row(sp, z, np.ones(4)) == -3.0
 
     # point-mass demand met exactly: only the order-cost terms remain
     inv = inventory_task(demand_values=(1.0, 2.0), inventory_params=InventoryParams(
         c0=1.0, q0=0.0, cb=0.0, qb=1.0, ch=0.0, qh=1.0))
-    val = objective(inv, np.array([2.0]), np.array([0.0, 1.0]))
+    val = objective_row(inv, np.array([2.0]), np.array([0.0, 1.0]))
     assert abs(val - (-2.0)) < 1e-12
-
-
-def test_objective_rejects_infeasible_decisions():
-    t = topk_task(3, 1)
-    with pytest.raises(InfeasibleDecisionError):
-        objective(t, np.array([1.0, 1.0, 0.0]), np.array([1.0, 2.0, 3.0]))
 
 
 def test_topk_oracle_examples():
     t = topk_task(3, 1)
-    assert np.array_equal(oracle(t, np.array([3.0, 1.0, 2.0])), [1, 0, 0])
+    assert np.array_equal(oracle_row(t, np.array([3.0, 1.0, 2.0])), [1, 0, 0])
     # ties break to the lowest index
-    assert np.array_equal(oracle(t, np.array([2.0, 2.0, 1.0])), [1, 0, 0])
+    assert np.array_equal(oracle_row(t, np.array([2.0, 2.0, 1.0])), [1, 0, 0])
 
 
 def test_topk_oracle_exhaustive():
@@ -158,16 +168,16 @@ def test_topk_oracle_exhaustive():
         k = int(rng.integers(1, min(n, 3) + 1))
         t = topk_task(n, k)
         y = rng.normal(0.0, 5.0, n)
-        assert abs(objective(t, oracle(t, y), y) - brute_force_topk(t, y)) < 1e-9
+        assert abs(objective_row(t, oracle_row(t, y), y) - brute_force_topk(t, y)) < 1e-9
 
 
 def test_shortest_path_oracle_avoids_expensive_center():
     t = shortest_path_task(3)
     y = np.ones(9)
     y[4] = 100.0
-    z = oracle(t, y)
+    z = oracle_row(t, y)
     assert z[4] == 0.0
-    assert abs(-objective(t, z, y) - brute_force_path_cost(t, y)) < 1e-9
+    assert abs(-objective_row(t, z, y) - brute_force_path_cost(t, y)) < 1e-9
 
 
 def test_shortest_path_oracle_exhaustive():
@@ -176,9 +186,9 @@ def test_shortest_path_oracle_exhaustive():
         p = int(rng.integers(2, 5))
         t = shortest_path_task(p)
         y = rng.uniform(0.8, 9.2, p * p)
-        z = oracle(t, y)
-        assert validate_decision(t, z)
-        assert abs(-objective(t, z, y) - brute_force_path_cost(t, y)) < 1e-9
+        z = oracle_row(t, y)
+        assert feasible(t, z)
+        assert abs(-objective_row(t, z, y) - brute_force_path_cost(t, y)) < 1e-9
 
 
 def test_shortest_path_four_neighborhood_and_length_weight():
@@ -186,14 +196,14 @@ def test_shortest_path_four_neighborhood_and_length_weight():
     for _ in range(5):
         t = shortest_path_task(3, neighborhood=4, length_weight=2.0)
         y = rng.uniform(0.5, 5.0, 9)
-        z = oracle(t, y)
-        assert validate_decision(t, z)
-        assert abs(-objective(t, z, y) - brute_force_path_cost(t, y)) < 1e-9
+        z = oracle_row(t, y)
+        assert feasible(t, z)
+        assert abs(-objective_row(t, z, y) - brute_force_path_cost(t, y)) < 1e-9
 
 
 def test_inventory_oracle_matches_grid_search():
     t = inventory_task(demand_values=(1.0, 3.0))
-    z = oracle(t, np.array([0.5, 0.5]))
+    z = oracle_row(t, np.array([0.5, 0.5]))
     z_grid, _ = grid_search_inventory(t, np.array([0.5, 0.5]))
     assert abs(z[0] - z_grid) < 1e-3
 
@@ -201,9 +211,9 @@ def test_inventory_oracle_matches_grid_search():
     for _ in range(15):
         probs = rng.dirichlet(np.ones(5))
         t = inventory_task()
-        z = oracle(t, probs)
+        z = oracle_row(t, probs)
         _, best_val = grid_search_inventory(t, probs)
-        got = -objective(t, z, probs)
+        got = -objective_row(t, z, probs)
         assert got <= best_val + 1e-3
 
 
@@ -214,7 +224,7 @@ def test_inventory_oracle_matches_full_qp():
     demands = t.params["demand_values"]
     for _ in range(5):
         probs = rng.dirichlet(np.ones(5))
-        z_reduced = oracle(t, probs)[0]
+        z_reduced = oracle_row(t, probs)[0]
         z_qp, kkt = solve_inventory_qp_kkt(params, demands, probs)
         assert kkt < 1e-5
         assert abs(z_reduced - z_qp) < 1e-5
@@ -224,11 +234,11 @@ def test_decision_quality_and_regret_examples():
     t = topk_task(3, 1)
     y_hat = np.array([0.0, 5.0, 0.0])
     y = np.array([3.0, 1.0, 2.0])
-    assert decision_quality(t, y_hat, y) == 1.0
-    assert decision_regret(t, y_hat, y) == 2.0
-    assert decision_regret(t, y, y) == 0.0
+    assert objective_row(t, oracle_row(t, y_hat), y) == 1.0
+    assert regret_row(t, y_hat, y) == 2.0
+    assert regret_row(t, y, y) == 0.0
     # any prediction inducing the optimal decision has zero regret
-    assert decision_regret(t, np.array([9.0, 0.0, 0.0]), y) == 0.0
+    assert regret_row(t, np.array([9.0, 0.0, 0.0]), y) == 0.0
 
 
 def test_regret_nonnegative_and_zero_at_truth():
@@ -239,33 +249,72 @@ def test_regret_nonnegative_and_zero_at_truth():
         y = rng.normal(0.0, 3.0, 5)
         y_hat = rng.normal(0.0, 3.0, 5)
         t = topk_task(5, 2)
-        assert decision_regret(t, y_hat, y) >= 0.0
-        assert decision_regret(t, y, y) == 0.0
+        assert regret_row(t, y_hat, y) >= 0.0
+        assert regret_row(t, y, y) == 0.0
         probs = rng.dirichlet(np.ones(5))
-        assert decision_regret(inv, rng.dirichlet(np.ones(5)), probs) >= 0.0
-        assert decision_regret(inv, probs, probs) == 0.0
+        assert regret_row(inv, rng.dirichlet(np.ones(5)), probs) >= 0.0
+        assert regret_row(inv, probs, probs) == 0.0
         costs = rng.uniform(0.8, 9.2, 9)
-        assert decision_regret(sp, rng.uniform(0.8, 9.2, 9), costs) >= 0.0
+        assert regret_row(sp, rng.uniform(0.8, 9.2, 9), costs) >= 0.0
 
 
 def test_validate_decision_cases():
     t = topk_task(3, 1)
-    assert validate_decision(t, np.array([0.0, 1.0, 0.0]))
-    assert not validate_decision(t, np.array([1.0, 1.0, 0.0]))
-    assert not validate_decision(t, np.array([0.0, 0.5, 0.5]))
+    assert feasible(t, np.array([0.0, 1.0, 0.0]))
+    assert not feasible(t, np.array([1.0, 1.0, 0.0]))
+    assert not feasible(t, np.array([0.0, 0.5, 0.5]))
 
     sp = shortest_path_task(2)
-    assert validate_decision(sp, np.array([1.0, 1.0, 0.0, 1.0]))
+    assert feasible(sp, np.array([1.0, 1.0, 0.0, 1.0]))
     # diagonal corner hop is a path under the 8-neighborhood but not the 4
-    assert validate_decision(sp, np.array([1.0, 0.0, 0.0, 1.0]))
+    assert feasible(sp, np.array([1.0, 0.0, 0.0, 1.0]))
     sp4 = shortest_path_task(2, neighborhood=4)
-    assert not validate_decision(sp4, np.array([1.0, 0.0, 0.0, 1.0]))
-    assert not validate_decision(sp, np.array([0.0, 1.0, 1.0, 1.0]))  # source missing
+    assert not feasible(sp4, np.array([1.0, 0.0, 0.0, 1.0]))
+    assert not feasible(sp, np.array([0.0, 1.0, 1.0, 1.0]))  # source missing
 
     inv = inventory_task()
-    assert validate_decision(inv, np.array([2.5]))
-    assert not validate_decision(inv, np.array([-0.1]))
-    assert not validate_decision(inv, np.array([1.0, 2.0]))
+    assert feasible(inv, np.array([2.5]))
+    assert not feasible(inv, np.array([-0.1]))
+    assert not feasible(inv, np.array([1.0, 2.0]))
+
+
+def test_feasible_rows_agrees_with_depth_first_search():
+    rng = np.random.default_rng(67)
+    for p in range(2, 7):
+        for neighborhood in (4, 8):
+            task = shortest_path_task(p, neighborhood=neighborhood)
+            Z = (rng.random((600, p * p)) < rng.uniform(0.3, 0.95, (600, 1))).astype(float)
+            Z[:450, [0, -1]] = 1.0  # most rows with both corners set
+            # the predicate the per-row check applied: both corners set, then the search
+            expected = [bool(z[0] == z[-1] == 1.0) and mask_is_connected_from_source(z.reshape(p, p), neighborhood)
+                        for z in Z]
+            got = feasible_rows(task, Z)
+            assert got.tolist() == expected, (p, neighborhood)
+            assert 0 < got.sum() < len(Z), (p, neighborhood)
+
+
+def test_feasible_rows_hand_cases():
+    sp = shortest_path_task(4)
+    path = np.eye(4).ravel()
+    blob = path.copy()
+    blob[[1, 4, 5]] = 1.0  # a 2 x 2 block at the source: connected, not a path
+    island = path.copy()
+    island[3] = 1.0  # a set cell no set neighbour reaches
+    no_source, no_sink, halves, nan = path.copy(), path.copy(), path.copy(), path.copy()
+    no_source[0] = 0.0
+    no_sink[-1] = 0.0
+    halves[[5, 10]] = 0.5
+    nan[5] = np.nan
+    assert feasible_rows(sp, np.stack([path, blob, island, no_source, no_sink, halves, nan])).tolist() == [
+        True, True, False, False, False, False, False]
+    assert not feasible_rows(sp, np.ones((1, 9))).any()  # the width of a 3 x 3 grid
+    topk = topk_task(3, 2)
+    assert feasible_rows(topk, [[1.0, 0.0, 1.0], [1.0, 1.0, 1.0], [1.0, np.nan, 0.0], [2.0, 0.0, 0.0]]).tolist() == [
+        True, False, False, False]
+    assert not feasible_rows(topk, np.ones((2, 2))).any()
+    inv = inventory_task()
+    assert feasible_rows(inv, [[0.0], [3.5], [-1e-9], [np.nan]]).tolist() == [True, True, False, False]
+    assert not feasible_rows(inv, np.ones((2, 2))).any()
 
 
 def test_empirical_lipschitz_probe_is_finite_positive():
@@ -361,7 +410,7 @@ def batch_cases():
 def test_oracle_batch_equals_row_by_row_oracle():
     for task, Y in batch_cases():
         Z = oracle_batch(task, Y)
-        rows = np.stack([oracle(task, y) for y in Y])
+        rows = np.stack([oracle_row(task, y) for y in Y])
         assert np.array_equal(Z, rows), task.kind
         # each row depends on its own labels only
         assert np.array_equal(oracle_batch(task, Y[::-1]), rows[::-1]), task.kind
@@ -371,8 +420,9 @@ def test_objective_rows_equals_checked_objective():
     rng = np.random.default_rng(43)
     for task, Y in batch_cases():
         Z = oracle_batch(task, Y[rng.permutation(len(Y))])  # decisions paired with other labels
+        assert feasible_rows(task, Z).all(), task.kind
         got = objective_rows(task, Z, Y)
-        assert np.array_equal(got, [objective(task, z, y) for z, y in zip(Z, Y)]), task.kind
+        assert np.array_equal(got, [objective_row(task, z, y) for z, y in zip(Z, Y)]), task.kind
         # the same arithmetic as a per-sample loop, so values do not drift
         assert np.array_equal(got, [per_sample_objective(task, z, y) for z, y in zip(Z, Y)]), task.kind
 
@@ -456,16 +506,16 @@ def test_topk_oracle_batch_keeps_lowest_index_ties():
 
 def test_shortest_path_oracle_rejects_negative_costs():
     with pytest.raises(NegativeCostError, match=r"cell cost -1\.0 .*row 0, cell 0"):
-        oracle(shortest_path_task(3), -np.ones(9))
+        oracle_row(shortest_path_task(3), -np.ones(9))
     y = np.ones(9)
     y[5] = -4.0
     with pytest.raises(NegativeCostError, match=r"-4\.0 .*cell 5"):
-        oracle(shortest_path_task(3), y)
+        oracle_row(shortest_path_task(3), y)
     # the length weight counts: label 1 with weight -2 is a cost of -1
     with pytest.raises(NegativeCostError, match=r"row 1"):
         oracle_batch(shortest_path_task(3, length_weight=-2.0), np.array([np.full(9, 3.0), np.ones(9)]))
     # zero costs are allowed
-    assert validate_decision(shortest_path_task(3), oracle(shortest_path_task(3), np.zeros(9)))
+    assert feasible(shortest_path_task(3), oracle_row(shortest_path_task(3), np.zeros(9)))
 
 
 # --- the shortest-path tie rule ----------------------------------------------
@@ -554,13 +604,13 @@ def test_shortest_path_oracle_on_zero_cost_plateaus():
     rng = np.random.default_rng(61)
     for p in (2, 5, 12):
         for task in sp_variants(p):
-            z = oracle(task, np.zeros(p * p))
-            assert validate_decision(task, z)
+            z = oracle_row(task, np.zeros(p * p))
+            assert feasible(task, z)
             assert z.sum() == (p if task.params["neighborhood"] == 8 else 2 * p - 1)
             if task.params["neighborhood"] == 8:
                 assert np.array_equal(z.reshape(p, p), np.eye(p))  # the diagonal
             Y = rng.choice([0.0, 1.0], size=(10, p * p), p=[0.7, 0.3])
             for y, z in zip(Y, oracle_batch(task, Y)):
-                assert validate_decision(task, z)
+                assert feasible(task, z)
                 start = 0.0 if task.params["count_start"] else y[0]
-                assert (-objective(task, z, y) - start, z.sum()) == fewest_cells_of_cheapest_paths(task, y)
+                assert (-objective_row(task, z, y) - start, z.sum()) == fewest_cells_of_cheapest_paths(task, y)

@@ -16,20 +16,19 @@ from ptodist import datagen, transfer
 from ptodist.datagen import PtODataset, gen_grid, gen_inventory, gen_topk, score_probs
 from ptodist.ground_cost import GroundCostWeights, decision_aware_distance, pairwise_cost_matrix
 from ptodist.ot_core import Marginal, solve_exact
-from ptodist.tasks import decision_regret, oracle, oracle_batch, topk_task
+from ptodist.tasks import objective_rows, oracle_batch, topk_task
 from ptodist.transfer import (
     BoundReport,
     PredictiveModel,
-    estimate_phi,
     evaluate_bound,
     feature_label_pooled_distances,
     mean_regret,
     model_dim,
     predict_rows,
-    regret_transferability,
     rsquared,
     simplex_grid,
     train_regret_min,
+    transfer_records,
     weight_sweep,
 )
 
@@ -40,7 +39,7 @@ def linear_topk_dataset(slope, intercept, n_resources=6, n_instances=10, seed=0)
     rng = np.random.default_rng(seed)
     X = np.stack([np.sort(rng.uniform(-1.0, 1.0, n_resources)) for _ in range(n_instances)])
     Y = slope * X + intercept
-    Z = np.stack([oracle(task, y) for y in Y])
+    Z = oracle_batch(task, Y)
     return task, PtODataset(task=task, X=X, Y=Y, Z=Z, provenance={"generator": "linear"})
 
 
@@ -68,7 +67,9 @@ def per_sample_mean_regret(task, theta, dataset):
             y_hat = theta[0] * s.x + theta[1]
             if task.kind == "shortest_path":
                 y_hat = np.maximum(y_hat, 0.0)  # grid cell costs are clipped at 0
-        total += decision_regret(task, y_hat, s.y)
+        # the quality under s.y of the oracle's decision for s.y, then for y_hat
+        best, chosen = (float(objective_rows(task, oracle_batch(task, v[None])[0], s.y)) for v in (s.y, y_hat))
+        total += abs(best - chosen)
     return total / len(dataset.samples)
 
 
@@ -126,7 +127,7 @@ def test_train_competitive_with_random_search():
 def test_transferability_self_is_zero():
     task = topk_task(25, 1)
     ds = gen_topk(0.65, n_instances=15, seed=3)
-    rec = regret_transferability(task, ds, ds, budget=800, seed=0)
+    (rec,) = transfer_records(task, [ds], ds, budget=800, seed=0)
     # identical training runs on source and target give identical regrets
     assert rec.transferability is not None
     assert abs(rec.transferability) <= 0.05
@@ -137,8 +138,7 @@ def test_transferability_sign_convention():
     target = gen_topk(0.65, n_instances=20, seed=11)
     near = gen_topk(0.6, n_instances=20, seed=12)
     far = gen_topk(1.3, n_instances=20, seed=13)
-    rec_near = regret_transferability(task, near, target, budget=1500, seed=0)
-    rec_far = regret_transferability(task, far, target, budget=1500, seed=0)
+    rec_near, rec_far = transfer_records(task, [near, far], target, budget=1500, seed=0)
     assert rec_near.transferability > rec_far.transferability
     assert rec_far.transferability < 0.0  # transfers worse than target-trained
 
@@ -204,7 +204,7 @@ def test_weight_sweep_trains_target_once(monkeypatch):
     assert sum(d is target for d in trained) == 1
     monkeypatch.undo()
     for i, (source, rec) in enumerate(zip(sources, records)):
-        assert rec == regret_transferability(task, source, target, budget=200, seed=1, source_id=str(i))
+        assert [rec] == transfer_records(task, [source], target, budget=200, seed=1, source_ids=[str(i)])
 
 
 def test_weight_sweep_needs_three_sources():
@@ -282,6 +282,13 @@ def test_feature_label_pooled_distance_peak_memory():
         assert peak < bound * n * n * a.X.itemsize, len(sources)
 
 
+def estimate_phi(task, f, plan, dataset_a, dataset_b, lam):
+    """The bound's phi: the mass fraction of coupled pairs whose predictions
+    under ``f`` differ by more than lambda times their feature distance."""
+    pred_a, pred_b = (predict_rows(task, f.theta, d.X) for d in (dataset_a, dataset_b))
+    return transfer._phi(plan, *transfer._coupled_gaps(plan, pred_a, pred_b, dataset_a.X, dataset_b.X), lam)
+
+
 def test_estimate_phi_properties():
     task = topk_task(5, 1)
     a = gen_topk(0.0, n_resources=5, n_instances=6, seed=4)
@@ -295,18 +302,16 @@ def test_estimate_phi_properties():
     assert phis[-1] == 0.0  # huge lambda
     const = PredictiveModel("linear", np.array([0.0, 3.0]))
     assert estimate_phi(task, const, plan, a, b, 0.1) == 0.0
-    with pytest.raises(ValueError):
-        estimate_phi(task, f, plan, a, b, 0.0)
 
 
 @pytest.mark.parametrize("lam", [float("nan"), float("inf"), 0.0, -1.0])
 def test_estimate_phi_rejects_a_lambda_that_is_not_positive_and_finite(lam):
+    # a bad lambda anywhere in a bound's lambda grid is rejected before any work
     task = topk_task(5, 1)
     a = gen_topk(0.0, n_resources=5, n_instances=4, seed=4)
-    plan = random_coupling(Marginal.uniform(4), Marginal.uniform(4), np.random.default_rng(0))
     f = PredictiveModel("linear", np.array([2.0, 0.5]))
     with pytest.raises(ValueError, match="lambda must be positive and finite"):
-        estimate_phi(task, f, plan, a, a, lam)
+        transfer._bound_reports(task, f, f, a, a, [1.0, lam, 2.0], 1.0, 1.0)
 
 
 def reference_bound(task, f, f_tilde, source, target, lam, k1, k2):
@@ -371,24 +376,49 @@ def test_evaluate_bound_builds_no_dataset(monkeypatch):
     source, target = BOUND_PAIRS["topk"]()
     task = source.task
     f = PredictiveModel("linear", np.array([-1.0, 0.5]))
-    calls = {"validate_decision": 0, "PtODataset": 0}
-    validate, post_init = datagen.validate_decision, PtODataset.__post_init__
+    calls = {"feasible_rows": 0, "PtODataset": 0}
+    feasible, post_init = datagen.feasible_rows, PtODataset.__post_init__
 
-    def counting_validate(*args):
-        calls["validate_decision"] += 1
-        return validate(*args)
+    def counting_feasible(*args):
+        calls["feasible_rows"] += 1
+        return feasible(*args)
 
     def counting_post_init(self):
         calls["PtODataset"] += 1
         post_init(self)
 
-    monkeypatch.setattr(datagen, "validate_decision", counting_validate)
+    monkeypatch.setattr(datagen, "feasible_rows", counting_feasible)
     monkeypatch.setattr(PtODataset, "__post_init__", counting_post_init)
     evaluate_bound(task, f, f, source, target, 1.0, 2.0, 2.0)
-    assert calls == {"validate_decision": 0, "PtODataset": 0}
-    # the counters see a dataset being built
+    assert calls == {"feasible_rows": 0, "PtODataset": 0}
+    # the counters see a dataset being built: one feasibility check for all its rows
     PtODataset(task, target.X, target.Y, target.Z, provenance={"copy": "target"})
-    assert calls == {"validate_decision": len(target), "PtODataset": 1}
+    assert calls == {"feasible_rows": 1, "PtODataset": 1}
+
+
+@pytest.mark.parametrize("family", sorted(BOUND_PAIRS))
+def test_bound_reports_over_a_lambda_grid_share_the_lambda_free_work(family, monkeypatch):
+    source, target = BOUND_PAIRS[family]()
+    task = source.task
+    rng = np.random.default_rng(9)
+    f, f_tilde = (PredictiveModel("linear", rng.normal(0.0, 1.0, model_dim(task, source.X.shape[1])))
+                  for _ in range(2))
+    lams = [0.05, 0.5, 1.0, 4.0]
+    single = [evaluate_bound(task, f, f_tilde, source, target, lam, 3.0, 2.0) for lam in lams]
+    calls = []
+    oracle = transfer.oracle_batch
+
+    def counting_oracle(*args):
+        calls.append(len(args[1]))
+        return oracle(*args)
+
+    monkeypatch.setattr(transfer, "oracle_batch", counting_oracle)
+    assert transfer._bound_reports(task, f, f_tilde, source, target, lams, 3.0, 2.0) == single
+    grid_calls = list(calls)
+    calls.clear()
+    evaluate_bound(task, f, f_tilde, source, target, lams[0], 3.0, 2.0)
+    # the decisions and the three regrets: the same oracle calls for 4 lambdas as for 1
+    assert grid_calls == calls and len(calls) == 5
 
 
 def test_evaluate_bound_perfect_model_self_pair():
