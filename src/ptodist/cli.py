@@ -344,7 +344,8 @@ def build_parser() -> _Parser:
     p.add_argument("--classes", type=int, default=5, help="grid: number of cell classes")
     p.add_argument("--cost-seed", type=int, default=0, help="grid: class-cost table seed")
     p.add_argument("--map-seed", type=int, default=0, help="grid: class-map seed")
-    p.add_argument("--length-weight", type=float, default=0.0, help="grid: per-cell length penalty")
+    p.add_argument("--length-weight", type=float, default=tasks.FAMILIES["shortest_path"].defaults["length_weight"],
+                   help="grid: per-cell length penalty")
     p.add_argument("--mean-seed", type=int, default=0, help="inventory: feature-mean seed")
     p.add_argument("--theta-seed", type=int, default=0, help="inventory: score-matrix seed")
     p.add_argument("--features", type=int, default=1, help="inventory: feature dimension")

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .tasks import (
+    FAMILIES,
     InventoryParams,
     TaskDefinition,
     feasible_rows,
@@ -23,9 +24,6 @@ from .tasks import (
     shortest_path_task,
     topk_task,
 )
-
-DEFAULT_DEMAND_VALUES = (5.0, 10.0, 15.0, 20.0, 25.0)
-
 
 class DatasetFormatError(ValueError):
     """A dataset file does not match the documented record format."""
@@ -59,7 +57,7 @@ class PtODataset:
     ``Y`` (n, dy) and decisions ``Z`` (n, dz), read-only.
 
     The arrays are copied and checked once, here: finite values, labels of the
-    task's size (probability vectors for inventory), feasible decisions.
+    task's width (probability vectors for simplex labels), feasible decisions.
     """
 
     task: TaskDefinition
@@ -77,13 +75,11 @@ class PtODataset:
                              f"shapes {X.shape}, {Y.shape}, {Z.shape}")
         if len(X) == 0:
             raise ValueError("dataset must contain at least one sample")
-        # a feasible decision has the task's size, and so do top-K and grid labels
-        inventory = self.task.kind == "inventory"
-        size = len(self.task.params["demand_values"]) if inventory else Z.shape[1]
+        size = self.task.label_dim
         checks = [(~np.isfinite(np.hstack(arrays)).all(axis=1), "has a non-finite value"),
                   (~feasible_rows(self.task, Z), "carries an infeasible decision"),
                   ([Y.shape[1] != size] * len(Y), f"has {Y.shape[1]} labels, the task takes {size}")]
-        if inventory:
+        if self.task.label_domain == "simplex":
             checks.append(((Y < 0).any(axis=1) | (np.abs(Y.sum(axis=1) - 1.0) > 1e-9),
                            "labels are not a probability vector"))
         for bad, reason in checks:
@@ -128,8 +124,6 @@ def gen_topk(
     Resources within an instance are sorted by ascending feature value, so the
     objective is a plain dot product of the selection mask with the utilities.
     """
-    if not (1 <= k <= n_resources):
-        raise ValueError(f"need 1 <= K <= N, got K={k}, N={n_resources}")
     task = topk_task(n_resources, k)
     X = np.sort(np.random.default_rng(seed).uniform(-1.0, 1.0, (n_instances, n_resources)), axis=1)
     Y = 10.0 * (X**3 - gamma * X)
@@ -173,21 +167,18 @@ def gen_grid(
     n_classes: int = 5,
     n_instances: int = 50,
     cost_range: tuple[float, float] = (0.8, 9.2),
-    neighborhood: int = 8,
-    length_weight: float = 0.0,
+    **options,
 ) -> PtODataset:
     """Grid shortest-path datasets with per-class cell costs.
 
     Features are the (scaled) class map; labels are per-cell costs from a
     class-cost table drawn once per distribution. Two datasets sharing
     ``map_seed`` but differing in ``class_cost_seed`` realize a pure target
-    shift: identical features, shifted labels.
+    shift: identical features, shifted labels. ``options`` go to :func:`shortest_path_task`.
     """
-    if p < 2:
-        raise ValueError(f"grid side must be >= 2, got {p}")
+    task = shortest_path_task(p, **options)
     if n_classes < 1:
         raise ValueError("need at least one cell class")
-    task = shortest_path_task(p, neighborhood=neighborhood, length_weight=length_weight)
     class_costs = np.random.default_rng(class_cost_seed).uniform(cost_range[0], cost_range[1], n_classes)
     map_rng = np.random.default_rng(map_seed)
     maps = np.array([_class_map(map_rng, p, n_classes) for _ in range(n_instances)], dtype=int)
@@ -214,22 +205,19 @@ def gen_inventory(
     theta_seed: int,
     n_features: int = 1,
     n_instances: int = 50,
-    demand_values=DEFAULT_DEMAND_VALUES,
-    inventory_params: InventoryParams | None = None,
     seed: int = 0,
+    **options,
 ) -> PtODataset:
     """Inventory datasets with demand probabilities proportional to exp((theta^T x)^2).
 
     The feature mean is drawn from Unif[-0.5, 0.5] (``mean_shift_seed``); the
     score matrix from standard Gaussians (``theta_seed``). Sharing
     ``theta_seed`` while varying ``mean_shift_seed`` shifts the feature
-    distribution under a fixed labeling mechanism.
+    distribution under a fixed labeling mechanism. ``options`` go to :func:`inventory_task`.
     """
-    demand_values = tuple(float(d) for d in demand_values)
-    k = len(demand_values)
-    task = inventory_task(demand_values, inventory_params)
+    task = inventory_task(**options)
     mu = np.random.default_rng(mean_shift_seed).uniform(-0.5, 0.5, n_features)
-    theta = np.random.default_rng(theta_seed).normal(size=(n_features, k))
+    theta = np.random.default_rng(theta_seed).normal(size=(n_features, task.label_dim))
     X = np.random.default_rng(seed).normal(mu, 1.0, (n_instances, n_features))
     # theta^T x one instance at a time, as a matrix-vector product: a single
     # X @ theta would sum the features in another order
@@ -243,40 +231,38 @@ def gen_inventory(
     return PtODataset(task, X, Y, oracle_batch(task, Y), provenance)
 
 
-def _task_to_json(task: TaskDefinition) -> dict:
-    params = dict(task.params)
-    if task.kind == "inventory":
-        params["inventory_params"] = asdict(params["inventory_params"])
-        params["demand_values"] = list(params["demand_values"])
-    return {"kind": task.kind, "params": params}
-
-
 def _is_number(v) -> bool:
     """A JSON number that is a finite float; a bool is not one."""
     return (type(v) is int and abs(v) <= 1e308) or (type(v) is float and math.isfinite(v))
 
 
-# the JSON value of each task param, by task kind; all but the optional ones are required
-_OPTIONAL_PARAMS = ("neighborhood", "count_start", "length_weight")
-_PARAM_TYPES = {
-    "topk": {"n_resources": "an integer", "k": "an integer"},
-    "shortest_path": {"p": "an integer", "neighborhood": "an integer", "count_start": "a boolean",
-                      "length_weight": "a number"},
-    "inventory": {"demand_values": "a list of numbers", "inventory_params": "an object of numbers"},
-}
-
-
-def _json_is(value, kind: str) -> bool:
-    if kind == "a list of numbers":
+def _json_is(value, json_type: str) -> bool:
+    if json_type == "a list of numbers":
         return isinstance(value, list) and all(map(_is_number, value))
-    if kind == "an object of numbers":
+    if json_type == "an object of numbers":
         return isinstance(value, dict) and all(map(_is_number, value.values()))
     return {"an integer": type(value) is int, "a boolean": type(value) is bool,
-            "a number": _is_number(value)}[kind]
+            "a number": _is_number(value)}[json_type]
 
 
 def _line_error(path, lineno: int, message) -> DatasetFormatError:
     return DatasetFormatError(f"{path}: line {lineno}: {message}")
+
+
+def _param_from_json(key, value, json_type):
+    """A task param's JSON value as the task holds it. A param with no type is
+    unknown to the family; the task names it."""
+    if json_type is not None and not _json_is(value, json_type):
+        raise ValueError(f"task param {key!r} must be {json_type}")
+    if json_type == "a list of numbers":
+        return tuple(value)
+    if json_type == "an object of numbers":
+        known = {f.name for f in fields(InventoryParams)}
+        unknown = [name for name in value if name not in known]
+        if unknown:
+            raise ValueError(f"unknown inventory param {unknown[0]!r}")
+        return InventoryParams(**value)
+    return value
 
 
 def _task_from_json(obj, path) -> TaskDefinition:
@@ -286,28 +272,13 @@ def _task_from_json(obj, path) -> TaskDefinition:
         if key not in obj:
             raise _line_error(path, 1, f"task missing field {key!r}")
     kind, params = obj["kind"], obj["params"]
-    if not isinstance(kind, str) or kind not in _PARAM_TYPES:
+    if not isinstance(kind, str) or kind not in FAMILIES:
         raise _line_error(path, 1, f"unknown task kind {kind!r}")
     if not isinstance(params, dict):
         raise _line_error(path, 1, "task params must be an object")
-    for key in _PARAM_TYPES[kind]:
-        if key not in params and key not in _OPTIONAL_PARAMS:
-            raise _line_error(path, 1, f"task params missing {key!r}")
-    for key, value in params.items():
-        if key not in _PARAM_TYPES[kind]:
-            raise _line_error(path, 1, f"unknown task param {key!r}")
-        if not _json_is(value, _PARAM_TYPES[kind][key]):
-            raise _line_error(path, 1, f"task param {key!r} must be {_PARAM_TYPES[kind][key]}")
-    params = dict(params)
-    try:
-        if kind == "inventory":
-            known = {f.name for f in fields(InventoryParams)}
-            unknown = [key for key in params["inventory_params"] if key not in known]
-            if unknown:
-                raise ValueError(f"unknown inventory param {unknown[0]!r}")
-            params["inventory_params"] = InventoryParams(**params["inventory_params"])
-            params["demand_values"] = tuple(params["demand_values"])
-        return TaskDefinition(kind, params)
+    types = FAMILIES[kind].params
+    try:  # the task names a missing param and fills in the defaults
+        return TaskDefinition(kind, {key: _param_from_json(key, v, types.get(key)) for key, v in params.items()})
     except ValueError as exc:
         raise _line_error(path, 1, exc) from exc
 
@@ -315,7 +286,7 @@ def _task_from_json(obj, path) -> TaskDefinition:
 def write_dataset(dataset: PtODataset, path) -> None:
     """Write a dataset as line-delimited JSON: one header record, one record per sample."""
     with open(path, "w", encoding="utf-8") as fh:
-        header = {"task": _task_to_json(dataset.task), "provenance": dataset.provenance}
+        header = {"task": asdict(dataset.task), "provenance": dataset.provenance}
         fh.write(json.dumps(header) + "\n")
         for x, y, z in zip(dataset.X.tolist(), dataset.Y.tolist(), dataset.Z.tolist()):
             fh.write(json.dumps({"x": x, "y": y, "z": z}) + "\n")

@@ -45,52 +45,77 @@ class InventoryParams:
             raise ValueError("need q0 > 0 or both qb, qh > 0 for a unique minimizer")
 
 
+class Family(NamedTuple):
+    """What a task family is, as data."""
+
+    params: dict    # the JSON type of each param, in header order
+    defaults: dict  # the value of each param a header or a caller may leave out
+    labels: str     # the label domain: "real", "nonnegative" or "simplex"
+
+
+FAMILIES = {
+    "topk": Family({"n_resources": "an integer", "k": "an integer"}, {}, "real"),
+    # cell costs: the 8-neighbour grid has cycles, so a negative cost leaves shortest paths undefined
+    "shortest_path": Family({"p": "an integer", "neighborhood": "an integer", "count_start": "a boolean",
+                             "length_weight": "a number"},
+                            {"neighborhood": 8, "count_start": True, "length_weight": 0.0}, "nonnegative"),
+    "inventory": Family({"demand_values": "a list of numbers", "inventory_params": "an object of numbers"}, {},
+                        "simplex"),
+}
+
+
 @dataclass(frozen=True)
 class TaskDefinition:
+    """A task of one of the :data:`FAMILIES`, its params in the family's order with the defaults filled in.
+    ``label_dim`` is the width of its label rows, ``label_domain`` where their values lie."""
+
     kind: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in ("topk", "shortest_path", "inventory"):
+        if self.kind not in FAMILIES:
             raise ValueError(f"unknown task kind {self.kind!r}")
+        family = FAMILIES[self.kind]
+        for key in self.params:
+            if key not in family.params:
+                raise ValueError(f"unknown task param {key!r}")
+        given = {**family.defaults, **self.params}
+        for key in family.params:
+            if key not in given:
+                raise ValueError(f"task params missing {key!r}")
+        object.__setattr__(self, "params", {key: given[key] for key in family.params})
         if self.kind == "topk":
             k = self.params["k"]
             n = self.params["n_resources"]
             if not (1 <= k <= n):
                 raise ValueError(f"need 1 <= K <= N, got K={k}, N={n}")
+            label_dim = n  # a utility per resource
         elif self.kind == "shortest_path":
             p = self.params["p"]
             if p < 2:
                 raise ValueError(f"grid side must be >= 2, got {p}")
-            if self.params.get("neighborhood", 8) not in (4, 8):
+            if self.params["neighborhood"] not in (4, 8):
                 raise ValueError("neighborhood must be 4 or 8")
+            label_dim = p * p  # a cost per cell
         else:
             demands = np.asarray(self.params["demand_values"], dtype=float)
             if demands.size < 2 or np.any(np.diff(demands) <= 0):
                 raise ValueError("demand values must be strictly increasing, length >= 2")
-            if not isinstance(self.params.get("inventory_params"), InventoryParams):
+            if not isinstance(self.params["inventory_params"], InventoryParams):
                 raise ValueError("inventory task requires inventory_params")
+            label_dim = demands.size  # a probability per demand value
+        # attributes, not fields: a task's equality and its header are its kind and params
+        object.__setattr__(self, "label_dim", label_dim)
+        object.__setattr__(self, "label_domain", family.labels)
 
 
 def topk_task(n_resources: int, k: int) -> TaskDefinition:
     return TaskDefinition("topk", {"n_resources": n_resources, "k": k})
 
 
-def shortest_path_task(
-    p: int,
-    neighborhood: int = 8,
-    count_start: bool = True,
-    length_weight: float = 0.0,
-) -> TaskDefinition:
-    return TaskDefinition(
-        "shortest_path",
-        {
-            "p": p,
-            "neighborhood": neighborhood,
-            "count_start": count_start,
-            "length_weight": length_weight,
-        },
-    )
+def shortest_path_task(p: int, **options) -> TaskDefinition:
+    """The task on a p x p grid; ``options`` are its other params, defaulting as in ``FAMILIES``."""
+    return TaskDefinition("shortest_path", {"p": p, **options})
 
 
 def inventory_task(
@@ -144,8 +169,7 @@ def feasible_rows(task: TaskDefinition, Z) -> np.ndarray:
     Z = np.asarray(Z, dtype=float)
     if task.kind == "inventory":
         return Z[:, 0] >= 0 if Z.shape[1] == 1 else np.zeros(len(Z), dtype=bool)
-    width = task.params["p"] ** 2 if task.kind == "shortest_path" else task.params["n_resources"]
-    if Z.shape[1] != width:
+    if Z.shape[1] != task.label_dim:  # a top-K or grid decision has one entry per label
         return np.zeros(len(Z), dtype=bool)
     ok = ((Z == 0.0) | (Z == 1.0)).all(axis=1)
     if task.kind == "topk":
@@ -153,7 +177,7 @@ def feasible_rows(task: TaskDefinition, Z) -> np.ndarray:
     # flood fill from the source on every mask at once, through padded shifted views
     p = task.params["p"]
     mask = Z.reshape(-1, p, p) == 1.0
-    moves = _neighbor_moves(task.params.get("neighborhood", 8))
+    moves = _neighbor_moves(task.params["neighborhood"])
     padded = np.zeros((len(Z), p + 2, p + 2), dtype=bool)  # a border no move leaves through
     reached = padded[:, 1:-1, 1:-1]
     reached[:, 0, 0] = mask[:, 0, 0]
@@ -185,7 +209,7 @@ def objective_rows(task: TaskDefinition, Z, Y) -> np.ndarray:
     if task.kind == "topk":
         return np.vecdot(Z, Y)
     if task.kind == "shortest_path":
-        return -np.vecdot(Z, Y) - task.params.get("length_weight", 0.0) * Z.sum(axis=-1)
+        return -np.vecdot(Z, Y) - task.params["length_weight"] * Z.sum(axis=-1)
     return -_expected_stock_cost(task, Y, Z)
 
 
@@ -218,7 +242,7 @@ def _shortest_path_oracle_batch(task: TaskDefinition, Y: np.ndarray) -> np.ndarr
     # the fewest moves of its cheapest paths. Its predecessor, from that
     # sweep, is the first minimum over moves sorted by index offset.
     p = task.params["p"]
-    costs = Y.reshape(-1, p, p) + task.params.get("length_weight", 0.0)
+    costs = Y.reshape(-1, p, p) + task.params["length_weight"]
     if costs.size and costs.min() < 0:
         # adjacent negative cells form negative cycles: relaxation would never stop
         row, i, j = np.unravel_index(np.argmin(costs), costs.shape)
@@ -227,11 +251,11 @@ def _shortest_path_oracle_batch(task: TaskDefinition, Y: np.ndarray) -> np.ndarr
             f"at row {row}, cell {i * p + j} is negative; cell costs must be nonnegative"
         )
     n = len(costs)
-    moves = sorted(_neighbor_moves(task.params.get("neighborhood", 8)), key=lambda m: m[0] * p + m[1])
+    moves = sorted(_neighbor_moves(task.params["neighborhood"]), key=lambda m: m[0] * p + m[1])
     offsets = np.array([di * p + dj for di, dj in moves])
     padded = np.full((n, p + 2, p + 2), np.inf)  # an infinite border: no move leaves the grid
     dist = padded[:, 1:-1, 1:-1]
-    dist[:, 0, 0] = costs[:, 0, 0] if task.params.get("count_start", True) else 0.0
+    dist[:, 0, 0] = costs[:, 0, 0] if task.params["count_start"] else 0.0
     pred = np.zeros((n, p, p), dtype=np.intp)  # the source keeps 0, itself
     cells = np.arange(p * p).reshape(p, p)
     while True:
@@ -324,7 +348,7 @@ def empirical_lipschitz(
 
     A measurement of the decision-quality Lipschitz constants over randomized
     bounded-norm label pairs, not a proof. Labels are drawn in [-scale, scale],
-    or in [0, scale] for shortest path, whose cell costs must be nonnegative.
+    in [0, scale] for nonnegative labels, and normalized for simplex labels.
     Trials run in fixed chunks, one oracle call each, and give the value of a
     loop over one trial at a time, bit for bit.
     """
@@ -346,11 +370,11 @@ def _lipschitz_ratios(task: TaskDefinition, label_dim: int, scale: float, trials
     """The probe's ratios in trial order, one array per chunk of trials; 0 where
     both label gaps vanish. Each trial is the same arithmetic as a one-trial loop."""
     rng = np.random.default_rng(seed)
-    low = 0.0 if task.kind == "shortest_path" else -scale
+    low = 0.0 if task.label_domain == "nonnegative" else -scale
     for start in range(0, trials, _LIPSCHITZ_CHUNK):
         n = min(_LIPSCHITZ_CHUNK, trials - start)
         draws = rng.uniform(low, scale, size=(n, 4, label_dim))  # the stream of n (4, label_dim) draws
-        if task.kind == "inventory":
+        if task.label_domain == "simplex":
             draws = np.abs(draws) / np.abs(draws).sum(axis=-1, keepdims=True)
         y, y_star, z, z_star = draws.transpose(1, 0, 2)
         # [y; z] decided in one oracle call and scored under [y*; z*]

@@ -71,27 +71,24 @@ class BoundReport:
 
 
 def model_dim(task: TaskDefinition, feature_dim: int) -> int:
-    if task.kind in ("topk", "shortest_path"):
+    if task.label_domain != "simplex":
         return 2  # shared per-element (weight, bias)
-    k = len(task.params["demand_values"])
-    return k * (feature_dim + 1)
+    return task.label_dim * (feature_dim + 1)  # softmax of one affine score per label
 
 
 def predict_rows(task: TaskDefinition, theta, X) -> np.ndarray:
     """Predicted label vectors of the linear model with weights ``theta``, one
     row per row of stacked features X. A stack of m weight vectors, shape
     (m, dim), gives an (m, rows, label) array, one block per model."""
-    if task.kind == "inventory":
-        mat = theta.reshape(theta.shape[:-1] + (len(task.params["demand_values"]), -1))
+    if task.label_domain == "simplex":
+        mat = theta.reshape(theta.shape[:-1] + (task.label_dim, -1))
         scores = X @ mat[..., :-1].mT
         scores += mat[..., None, :, -1]
         return score_probs(scores)
     w = theta if theta.ndim == 1 else theta[:, None, None]
     y_hat = w[..., 0] * X
     y_hat += w[..., 1]
-    # clipped at 0 for shortest path: the 8-neighbour grid has cycles, so a
-    # negative cell cost leaves shortest paths undefined
-    return np.maximum(y_hat, 0.0) if task.kind == "shortest_path" else y_hat
+    return np.maximum(y_hat, 0.0) if task.label_domain == "nonnegative" else y_hat
 
 
 def mean_regret(task: TaskDefinition, model: PredictiveModel, dataset: PtODataset) -> float:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from ptodist import cli, transfer
 from ptodist.datagen import read_dataset
 from ptodist.ground_cost import GroundCostWeights, pairwise_cost_matrix
+from ptodist.tasks import shortest_path_task
 
 
 def run_cli(argv):
@@ -116,6 +117,25 @@ def test_missing_task_param_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "line 1: task params missing 'n_resources'" in err
     assert "Traceback" not in err
+
+
+def test_grid_header_may_leave_out_the_optional_params(tmp_path, capsys):
+    a, b = tmp_path / "a.plds", tmp_path / "b.plds"
+    for path, cost_seed in ((a, "1"), (b, "3")):
+        assert run_cli(["gen", "--family", "grid", "--p", "4", "--instances", "5",
+                        "--cost-seed", cost_seed, "--map-seed", "2", "--out", str(path)]) == 0
+    header, *rest = b.read_text().splitlines()
+    header = json.loads(header)
+    for key in ("neighborhood", "count_start", "length_weight"):
+        del header["task"]["params"][key]
+    short = tmp_path / "short.plds"
+    short.write_text("\n".join([json.dumps(header)] + rest) + "\n")
+    assert read_dataset(b).task == read_dataset(short).task == shortest_path_task(4)
+    capsys.readouterr()
+    assert run_cli(["dist", str(a), str(b)]) == 0
+    full = capsys.readouterr().out
+    assert run_cli(["dist", str(a), str(short)]) == 0
+    assert capsys.readouterr().out == full
 
 
 def test_negative_grid_cost_is_numerical_failure(tmp_path, capsys):

@@ -144,6 +144,8 @@ def test_gen_grid_structure():
         classes = np.round(s.x * 3).astype(int)
         for c in np.unique(classes):
             assert np.unique(s.y[classes == c]).size == 1
+    with pytest.raises(ValueError, match="grid side"):  # the task is checked before the classes
+        gen_grid(1, 2, p=1, n_classes=0)
 
 
 def test_gen_grid_target_shift_shares_features():
@@ -192,6 +194,31 @@ def test_gen_inventory_shift_keeps_mechanism():
     assert a.provenance != b.provenance
     # identical features would imply identical probabilities under the shared theta
     assert any(not np.array_equal(sa.x, sb.x) for sa, sb in zip(a.samples, b.samples))
+
+
+# each generator, with the label domain of its task
+GENERATED = {
+    "topk": (lambda: gen_topk(0.5, n_resources=7, n_instances=4, k=2, seed=1), "real"),
+    "grid-4": (lambda: gen_grid(1, 2, p=4, n_instances=3, neighborhood=4), "nonnegative"),
+    "grid-8": (lambda: gen_grid(3, 4, p=5, n_instances=3, length_weight=0.5), "nonnegative"),
+    "inventory": (lambda: gen_inventory(1, 2, n_features=2, n_instances=5, seed=3, demand_values=(1, 4, 9)),
+                  "simplex"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_generated_labels_have_the_task_width_and_domain(name, tmp_path):
+    make, domain = GENERATED[name]
+    ds = make()
+    assert ds.task.label_domain == domain
+    assert ds.Y.shape[1] == ds.task.label_dim
+    assert np.isfinite(ds.Y).all()
+    if domain != "real":
+        assert (ds.Y >= 0.0).all()
+    if domain == "simplex":
+        assert np.allclose(ds.Y.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+    write_dataset(ds, tmp_path / "ds.plds")
+    assert read_dataset(tmp_path / "ds.plds").task == ds.task
 
 
 def test_round_trip_bit_exact(tmp_path):

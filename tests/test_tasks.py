@@ -119,6 +119,21 @@ def test_task_definition_validation():
         inventory_task(demand_values=(3.0, 2.0, 1.0))
     with pytest.raises(ValueError):
         TaskDefinition("auction", {})
+    # one missing param per family, named as a dataset file's header names it
+    for kind, params, missing in (("topk", {"k": 1}, "n_resources"),
+                                  ("shortest_path", {"neighborhood": 4}, "p"),
+                                  ("inventory", {"demand_values": (1.0, 2.0)}, "inventory_params")):
+        with pytest.raises(ValueError, match=f"^task params missing '{missing}'$"):
+            TaskDefinition(kind, params)
+    with pytest.raises(ValueError, match="^unknown task param 'neighbourhood'$"):
+        shortest_path_task(3, neighbourhood=4)
+
+
+def test_task_params_take_the_family_order_and_defaults():
+    task = TaskDefinition("shortest_path", {"length_weight": 0.5, "p": 3})
+    assert list(task.params.items()) == [("p", 3), ("neighborhood", 8), ("count_start", True),
+                                         ("length_weight", 0.5)]
+    assert task == shortest_path_task(3, length_weight=0.5)
 
 
 def test_inventory_params_validation():
