@@ -101,8 +101,10 @@ def _read_same_task(paths) -> list[PtODataset]:
     """Read dataset files that must all hold the first file's task."""
     datasets = [read_dataset(p) for p in paths]
     for p, ds in zip(paths[1:], datasets[1:]):
-        if ds.task != datasets[0].task:
-            raise DatasetFormatError(f"{p}: task {ds.task.kind!r} differs from the task of {paths[0]}")
+        try:
+            tasks.shared_task(datasets[0].task, ds.task)
+        except ValueError as exc:
+            raise DatasetFormatError(f"{paths[0]} vs {p}: {exc}") from None
     return datasets
 
 
@@ -130,16 +132,12 @@ def cmd_dist(args) -> int:
 def cmd_transfer(args) -> int:
     target, *sources = _read_same_task([args.target, *args.source])
     w = _weights_from_args(args)
-    records = transfer.transfer_records(
-        target.task, sources, target,
-        budget=args.budget, seed=args.seed,
-        source_ids=[str(p) for p in args.source], target_id=str(args.target),
-    )
+    records = transfer.transfer_records(target.task, sources, target, budget=args.budget, seed=args.seed)
     rows = []
-    for source, rec in zip(sources, records):
+    for path, source, rec in zip(args.source, sources, records):
         dist = decision_aware_distance(source, target, w, mode=args.mode)
         rows.append(
-            (rec.source_id, rec.target_id, fmt(dist),
+            (str(path), str(args.target), fmt(dist),
              fmt(w.alpha_x), fmt(w.alpha_y), fmt(w.alpha_w),
              fmt(rec.transferability) if rec.transferability is not None else "undefined",
              fmt(rec.regret_source_on_target), fmt(rec.regret_target_on_target))
@@ -191,7 +189,7 @@ def cmd_bound(args) -> int:
     if args.k1 is not None:
         k1, k2 = args.k1, args.k2
     else:
-        k1, k2 = transfer.default_lipschitz_constants(task, source.Y.shape[1], seed=args.seed)
+        k1, k2 = transfer.default_lipschitz_constants(task, task.label_dim, seed=args.seed)
     all_hold = True
     rows = []
     reports = transfer._bound_reports(task, f, f_tilde, source, target, args.lambdas, k1, k2)

@@ -98,18 +98,14 @@ class PtODataset:
         """The rows as :class:`Sample` views."""
         return tuple(Sample(x=x, y=y, z=z) for x, y, z in zip(self.X, self.Y, self.Z))
 
-    def optimal_quality(self, task: TaskDefinition) -> np.ndarray:
-        """g(w*(y_i); y_i) for each sample under ``task`` (read-only).
-
-        Computed on first use and kept; computed again only for another task.
-        """
-        cached = self._optimal_quality
-        if cached is None or cached[0] != task:
-            q = objective_rows(task, oracle_batch(task, self.Y), self.Y)
+    def optimal_quality(self) -> np.ndarray:
+        """g(w*(y_i); y_i) for each sample under the dataset's task (read-only),
+        computed on first use and kept."""
+        if self._optimal_quality is None:
+            q = objective_rows(self.task, oracle_batch(self.task, self.Y), self.Y)
             q.flags.writeable = False
-            cached = (task, q)
-            object.__setattr__(self, "_optimal_quality", cached)
-        return cached[1]
+            object.__setattr__(self, "_optimal_quality", q)
+        return self._optimal_quality
 
 
 def gen_topk(
@@ -160,13 +156,15 @@ def _class_map(rng: np.random.Generator, p: int, n_classes: int) -> np.ndarray:
     return np.digitize(field_vals, cuts)
 
 
+GRID_COST_RANGE = (0.8, 9.2)  # the interval the grid's class costs are drawn from
+
+
 def gen_grid(
     class_cost_seed: int,
     map_seed: int,
     p: int = 12,
     n_classes: int = 5,
     n_instances: int = 50,
-    cost_range: tuple[float, float] = (0.8, 9.2),
     **options,
 ) -> PtODataset:
     """Grid shortest-path datasets with per-class cell costs.
@@ -179,7 +177,7 @@ def gen_grid(
     task = shortest_path_task(p, **options)
     if n_classes < 1:
         raise ValueError("need at least one cell class")
-    class_costs = np.random.default_rng(class_cost_seed).uniform(cost_range[0], cost_range[1], n_classes)
+    class_costs = np.random.default_rng(class_cost_seed).uniform(*GRID_COST_RANGE, n_classes)
     map_rng = np.random.default_rng(map_seed)
     maps = np.array([_class_map(map_rng, p, n_classes) for _ in range(n_instances)], dtype=int)
     X = (maps / max(n_classes - 1, 1)).reshape(n_instances, p * p)
@@ -188,7 +186,7 @@ def gen_grid(
         "generator": "grid",
         "class_cost_seed": class_cost_seed,
         "map_seed": map_seed,
-        "cost_range": list(cost_range),
+        "cost_range": list(GRID_COST_RANGE),
     }
     return PtODataset(task, X, Y, oracle_batch(task, Y), provenance)
 

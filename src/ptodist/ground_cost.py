@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ot_core import CostMatrix, Marginal, SinkhornConvergenceError, solve_exact, solve_sinkhorn
-from .tasks import objective_rows
+from .tasks import objective_rows, shared_task
 
 MODES = ("as-written", "symmetrized")
 
@@ -62,9 +62,10 @@ def component_matrices(dataset, dataset_prime, mode: str = "as-written"):
     """Feature, label, and decision cost matrices between two datasets.
 
     Useful when sweeping weights: the total cost matrix for any weights is
-    the matching linear combination of these three.
+    the matching linear combination of these three. The datasets must share
+    their task (:func:`~ptodist.tasks.shared_task`).
     """
-    return _components(dataset.task, dataset.X, dataset.Y, dataset.Z,
+    return _components(shared_task(dataset.task, dataset_prime.task), dataset.X, dataset.Y, dataset.Z,
                        dataset_prime.X, dataset_prime.Y, dataset_prime.Z, mode)
 
 
@@ -75,11 +76,6 @@ def pairwise_cost_matrix(
     mode: str = "as-written",
 ) -> CostMatrix:
     """Matrix of total ground costs between all sample pairs of two datasets."""
-    if dataset.task != dataset_prime.task:
-        raise ValueError(
-            f"datasets are from different task families: "
-            f"{dataset.task.kind!r} vs {dataset_prime.task.kind!r}"
-        )
     return CostMatrix(_weighted(w, *component_matrices(dataset, dataset_prime, mode)))
 
 

@@ -109,6 +109,21 @@ class TaskDefinition:
         object.__setattr__(self, "label_domain", family.labels)
 
 
+def shared_task(task: TaskDefinition, *others: TaskDefinition) -> TaskDefinition:
+    """``task``, when each of ``others`` equals it: the one place two tasks are compared.
+    Otherwise a ``ValueError`` names the differing kind, or the first differing param
+    in the family's order with both values."""
+    for other in others:
+        if other == task:
+            continue
+        if other.kind != task.kind:
+            raise ValueError(f"task kinds differ: {task.kind!r} vs {other.kind!r}")
+        key = next(key for key in task.params if task.params[key] != other.params[key])
+        raise ValueError(f"{task.kind!r} task param {key!r} differs: "
+                         f"{task.params[key]!r} vs {other.params[key]!r}")
+    return task
+
+
 def topk_task(n_resources: int, k: int) -> TaskDefinition:
     return TaskDefinition("topk", {"n_resources": n_resources, "k": k})
 
@@ -337,23 +352,21 @@ def _inventory_oracle_batch(task: TaskDefinition, P: np.ndarray) -> np.ndarray:
     return candidates[np.arange(n), best][:, None]
 
 
-def empirical_lipschitz(
-    task: TaskDefinition,
-    label_dim: int,
-    scale: float = 10.0,
-    trials: int = 20_000,
-    seed: int = 0,
-) -> float:
+LIPSCHITZ_SCALE = 10.0
+
+
+def empirical_lipschitz(task: TaskDefinition, *, trials: int = 20_000, seed: int = 0) -> float:
     """Largest observed ratio |q(y,y*) - q(z,z*)| / (|y-z| + |y*-z*|).
 
     A measurement of the decision-quality Lipschitz constants over randomized
-    bounded-norm label pairs, not a proof. Labels are drawn in [-scale, scale],
-    in [0, scale] for nonnegative labels, and normalized for simplex labels.
-    Trials run in fixed chunks, one oracle call each, and give the value of a
-    loop over one trial at a time, bit for bit.
+    bounded-norm label pairs, not a proof. Labels of the task's width are drawn
+    in [-LIPSCHITZ_SCALE, LIPSCHITZ_SCALE], in [0, LIPSCHITZ_SCALE] for
+    nonnegative labels, and normalized for simplex labels. Trials run in fixed
+    chunks, one oracle call each, and give the value of a loop over one trial
+    at a time, bit for bit.
     """
     best = 0.0
-    for ratios in _lipschitz_ratios(task, label_dim, scale, trials, seed):
+    for ratios in _lipschitz_ratios(task, trials, seed):
         best = max(best, ratios.max())
     return best
 
@@ -366,14 +379,14 @@ def empirical_lipschitz(
 _LIPSCHITZ_CHUNK = 100
 
 
-def _lipschitz_ratios(task: TaskDefinition, label_dim: int, scale: float, trials: int, seed: int):
+def _lipschitz_ratios(task: TaskDefinition, trials: int, seed: int):
     """The probe's ratios in trial order, one array per chunk of trials; 0 where
     both label gaps vanish. Each trial is the same arithmetic as a one-trial loop."""
     rng = np.random.default_rng(seed)
-    low = 0.0 if task.label_domain == "nonnegative" else -scale
+    low = 0.0 if task.label_domain == "nonnegative" else -LIPSCHITZ_SCALE
     for start in range(0, trials, _LIPSCHITZ_CHUNK):
         n = min(_LIPSCHITZ_CHUNK, trials - start)
-        draws = rng.uniform(low, scale, size=(n, 4, label_dim))  # the stream of n (4, label_dim) draws
+        draws = rng.uniform(low, LIPSCHITZ_SCALE, size=(n, 4, task.label_dim))  # the stream of n (4, label_dim) draws
         if task.label_domain == "simplex":
             draws = np.abs(draws) / np.abs(draws).sum(axis=-1, keepdims=True)
         y, y_star, z, z_star = draws.transpose(1, 0, 2)

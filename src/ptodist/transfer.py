@@ -16,7 +16,7 @@ import numpy as np
 from .datagen import PtODataset, score_probs
 from .ground_cost import CostMatrix, GroundCostWeights, _components, _weighted, component_matrices
 from .ot_core import Marginal, _assign, solve_exact
-from .tasks import TaskDefinition, empirical_lipschitz, objective_rows, oracle_batch
+from .tasks import TaskDefinition, empirical_lipschitz, objective_rows, oracle_batch, shared_task
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,6 @@ class PredictiveModel:
 
 @dataclass(frozen=True)
 class TransferRecord:
-    source_id: str
-    target_id: str
     transferability: float | None
     regret_source_on_target: float
     regret_target_on_target: float
@@ -98,13 +96,15 @@ def mean_regret(task: TaskDefinition, model: PredictiveModel, dataset: PtODatase
 
 def mean_regrets(task: TaskDefinition, thetas, dataset: PtODataset):
     """:func:`mean_regret` of each weight vector in the stack ``thetas``, shape
-    (m, dim), bit for bit; one vector, shape (dim,), gives one value."""
+    (m, dim), bit for bit; one vector, shape (dim,), gives one value. ``task``
+    must be the dataset's."""
+    shared_task(task, dataset.task)
     y_hat = predict_rows(task, thetas, dataset.X)
     if y_hat.ndim == 2:  # one model: its predictions are already the oracle's rows
         Z = oracle_batch(task, y_hat)
     else:  # a stack: one oracle call on every model's rows, then one block per model
         Z = oracle_batch(task, y_hat.reshape(-1, y_hat.shape[-1])).reshape(y_hat.shape[:-1] + (-1,))
-    regrets = np.abs(dataset.optimal_quality(task) - objective_rows(task, Z, dataset.Y))
+    regrets = np.abs(dataset.optimal_quality() - objective_rows(task, Z, dataset.Y))
     # summed one after another in sample order, so that the pattern search,
     # which compares these means, sees the same values as a running total
     return np.add.accumulate(regrets.T)[-1] / regrets.shape[-1]
@@ -176,8 +176,6 @@ def transfer_records(
     target: PtODataset,
     budget: int = 5000,
     seed: int = 0,
-    source_ids=None,
-    target_id: str = "target",
 ) -> list[TransferRecord]:
     """Regret transferability of each source onto one target: the relative
     regret improvement (r_tt - r_st) / r_tt on the target of the model trained
@@ -186,20 +184,14 @@ def transfer_records(
     The target model is trained once and shared by every record. When its
     regret r_tt is numerically zero the ratio is undefined; the record then
     carries ``transferability=None`` and the absolute source regret stands in
-    for qualitative comparison. Sources are named ``"0"``, ``"1"``, ... unless
-    ``source_ids`` is given.
+    for qualitative comparison. Every dataset must be of ``task``.
     """
-    if any(s.task != target.task for s in sources):
-        raise ValueError("source and target must be from the same task family")
-    if source_ids is None:
-        source_ids = [str(i) for i in range(len(sources))]
+    shared_task(task, target.task, *(s.task for s in sources))
     r_tt = mean_regret(task, train_regret_min(task, target, budget=budget, seed=seed), target)
     records = []
-    for source_id, source in zip(source_ids, sources):
+    for source in sources:
         r_st = mean_regret(task, train_regret_min(task, source, budget=budget, seed=seed), target)
         records.append(TransferRecord(
-            source_id=source_id,
-            target_id=target_id,
             transferability=(r_tt - r_st) / r_tt if r_tt >= 1e-9 else None,
             regret_source_on_target=r_st,
             regret_target_on_target=r_tt,
@@ -258,6 +250,7 @@ def weight_sweep(
     """
     if len(sources) < 3:
         raise ValueError("need at least 3 source datasets")
+    triples = simplex_grid(grid_resolution)
     records = transfer_records(task, sources, target, budget=budget, seed=seed)
     transfers = [r.transferability for r in records]
     if any(t is None for t in transfers):
@@ -266,7 +259,7 @@ def weight_sweep(
     a_marg = [Marginal.uniform(len(s)) for s in sources]
     b_marg = Marginal.uniform(len(target))
     rows = []
-    for w in simplex_grid(grid_resolution):
+    for w in triples:
         dists = []
         for (F, L, W), a in zip(components, a_marg):
             _, value = solve_exact(CostMatrix(_weighted(w, F, L, W)), a, b_marg)
@@ -348,14 +341,15 @@ def _coupled_gaps(plan, pred_a, pred_b, X_a, X_b):
     return plan.matrix[I, J], gaps, dx
 
 
-def default_lipschitz_constants(
-    task: TaskDefinition,
-    label_dim: int,
-    scale: float = 10.0,
-    safety: float = 1.5,
-    seed: int = 0,
-) -> tuple[float, float]:
-    k = empirical_lipschitz(task, label_dim, scale=scale, seed=seed) * safety
+LIPSCHITZ_SAFETY = 1.5
+
+
+def default_lipschitz_constants(task: TaskDefinition, label_dim: int, seed: int = 0) -> tuple[float, float]:
+    """k1 = k2 = LIPSCHITZ_SAFETY times the largest ratio of :func:`~ptodist.tasks.empirical_lipschitz`.
+    ``label_dim`` must be the task's."""
+    if label_dim != task.label_dim:
+        raise ValueError(f"label width {label_dim!r} is not the task's {task.label_dim}")
+    k = empirical_lipschitz(task, seed=seed) * LIPSCHITZ_SAFETY
     return k, k
 
 
@@ -389,8 +383,7 @@ def _bound_reports(task, f, f_tilde, source, target, lams, k1, k2) -> list[Bound
     for name, value in [*(("lambda", lam) for lam in lams), ("k1", k1), ("k2", k2)]:
         if not 0 < value < np.inf:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    if source.task != target.task:
-        raise ValueError("source and target must be from the same task family")
+    shared_task(task, source.task, target.task)
     # rows: target (predicted decisions); cols: source (oracle decisions).
     # As-written mode scores both decisions under the source labels.
     z_t = oracle_batch(task, predict_rows(task, f.theta, target.X))

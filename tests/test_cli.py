@@ -105,6 +105,23 @@ def test_dist_task_mismatch_exit_code(tmp_path):
     assert run_cli(["dist", str(a), str(g)]) == 2
 
 
+def test_commands_name_the_task_param_two_files_differ_in(tmp_path, capsys):
+    a, b = tmp_path / "a.plds", tmp_path / "b.plds"
+    for path, weight in ((a, "0"), (b, "5")):
+        assert run_cli(["gen", "--family", "grid", "--p", "4", "--instances", "3", "--length-weight", weight,
+                        "--out", str(path)]) == 0
+    out = str(tmp_path / "out.csv")
+    for argv in (["dist", str(a), str(b)],
+                 ["transfer", "--source", str(b), "--target", str(a), "--budget", "10", "--out", out],
+                 ["sweep", *["--source", str(b)] * 3, "--target", str(a), "--budget", "10", "--out", out],
+                 ["bound", "--source", str(a), "--target", str(b), "--budget", "10", "--out", out]):
+        capsys.readouterr()
+        assert run_cli(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert f"{a} vs {b}: 'shortest_path' task param 'length_weight' differs: 0.0 vs 5.0" in err, argv
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_missing_task_param_exit_code(tmp_path, capsys):
     a = gen_topk_file(tmp_path, "a.plds", 0.0, 1)
     lines = a.read_text().splitlines()

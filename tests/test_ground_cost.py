@@ -282,5 +282,12 @@ def test_distance_rejects_task_mismatch():
     rng = np.random.default_rng(47)
     d_a = topk_dataset(rng, topk_task(3, 1), 2)
     d_b = topk_dataset(rng, topk_task(3, 2), 2)
-    with pytest.raises(ValueError, match="task"):
+    with pytest.raises(ValueError, match="'topk' task param 'k' differs: 1 vs 2"):
         pairwise_cost_matrix(d_a, d_b, GroundCostWeights(1.0, 0.0, 0.0))
+    # every distance and sweep builds its costs here
+    a = gen_grid(1, 2, p=4, n_instances=3)
+    b = gen_grid(1, 2, p=4, n_instances=3, length_weight=5.0)
+    with pytest.raises(ValueError, match="'shortest_path' task param 'length_weight' differs: 0.0 vs 5.0"):
+        component_matrices(a, b)
+    with pytest.raises(ValueError, match="task kinds differ: 'shortest_path' vs 'inventory'"):
+        component_matrices(a, gen_inventory(1, 2, n_instances=3), "symmetrized")

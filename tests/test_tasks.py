@@ -334,12 +334,12 @@ def test_feasible_rows_hand_cases():
 
 def test_empirical_lipschitz_probe_is_finite_positive():
     t = topk_task(5, 1)
-    k = empirical_lipschitz(t, 5, trials=2000, seed=0)
+    k = empirical_lipschitz(t, trials=2000, seed=0)
     assert 0.0 < k < np.inf
     # deterministic given the seed
-    assert k == empirical_lipschitz(t, 5, trials=2000, seed=0)
+    assert k == empirical_lipschitz(t, trials=2000, seed=0)
     # grid labels are drawn nonnegative, where shortest paths are defined
-    assert 0.0 < empirical_lipschitz(shortest_path_task(3), 9, trials=200, seed=0) < np.inf
+    assert 0.0 < empirical_lipschitz(shortest_path_task(3), trials=200, seed=0) < np.inf
 
 
 def quality_ratio(task, y, y_star, z, z_star):
@@ -383,13 +383,13 @@ def test_decision_quality_has_no_lipschitz_constant_where_the_decision_jumps(tas
 ], ids=["topk", "inventory", "grid", "grid4"])
 def test_empirical_lipschitz_matches_one_trial_loop(task, label_dim):
     # trial counts on both sides of the chunk edges; a run of n trials is the
-    # first n trials of a longer one
+    # first n trials of a longer one. The probe reads the width from the task.
     reference = lipschitz_ratios_by_trial(task, label_dim, 10.0, 2345, 5)
     for trials in (1, 99, 100, 101, 2345):
-        ratios = np.concatenate(list(tasks._lipschitz_ratios(task, label_dim, 10.0, trials, 5)))
+        ratios = np.concatenate(list(tasks._lipschitz_ratios(task, trials, 5)))
         assert np.array_equal(ratios, reference[:trials]), trials
-        assert empirical_lipschitz(task, label_dim, trials=trials, seed=5) == reference[:trials].max()
-    assert empirical_lipschitz(task, label_dim, trials=0) == 0.0
+        assert empirical_lipschitz(task, trials=trials, seed=5) == reference[:trials].max()
+    assert empirical_lipschitz(task, trials=0) == 0.0
 
 
 def test_empirical_lipschitz_memory_stays_flat():
@@ -397,7 +397,7 @@ def test_empirical_lipschitz_memory_stays_flat():
     # a chunk, 1.6 MB at 500 and 30 MB with all 20 000 trials in one call
     tracemalloc.start()
     try:
-        empirical_lipschitz(inventory_task(), 5)
+        empirical_lipschitz(inventory_task())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

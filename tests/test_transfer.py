@@ -78,15 +78,18 @@ def test_mean_regret_matches_per_sample_reference():
     topk = gen_topk(0.65, n_instances=50, seed=8)  # big enough that summation order shows
     inv = gen_inventory(1, 2, n_features=2, n_instances=25, seed=3)
     grid = gen_grid(1, 2, p=6, n_instances=10)
+    # the same features and labels under K=3
+    k3 = PtODataset(topk_task(25, 3), topk.X, topk.Y, oracle_batch(topk_task(25, 3), topk.Y), topk.provenance)
     for _ in range(5):
         theta = rng.normal(0.0, 2.0, 2)
         got = mean_regret(topk.task, PredictiveModel("linear", theta), topk)
         assert got == per_sample_mean_regret(topk.task, theta, topk)  # K=1: bit for bit
-        # the same labels under K=3: the cached optimal quality is recomputed for the new task
-        k3 = topk_task(25, 3)
-        got = mean_regret(k3, PredictiveModel("linear", theta), topk)
-        ref = per_sample_mean_regret(k3, theta, topk)
+        got = mean_regret(k3.task, PredictiveModel("linear", theta), k3)
+        ref = per_sample_mean_regret(k3.task, theta, k3)
         assert abs(got - ref) <= 1e-12 * abs(ref)
+        # a dataset is scored under its own task only
+        with pytest.raises(ValueError, match="'topk' task param 'k' differs: 3 vs 1"):
+            mean_regret(k3.task, PredictiveModel("linear", theta), topk)
         theta = rng.normal(0.0, 1.0, 15)
         got = mean_regret(inv.task, PredictiveModel("linear", theta), inv)
         ref = per_sample_mean_regret(inv.task, theta, inv)
@@ -203,8 +206,8 @@ def test_weight_sweep_trains_target_once(monkeypatch):
     assert len(trained) == len(sources) + 1
     assert sum(d is target for d in trained) == 1
     monkeypatch.undo()
-    for i, (source, rec) in enumerate(zip(sources, records)):
-        assert [rec] == transfer_records(task, [source], target, budget=200, seed=1, source_ids=[str(i)])
+    for source, rec in zip(sources, records):
+        assert [rec] == transfer_records(task, [source], target, budget=200, seed=1)
 
 
 def test_weight_sweep_needs_three_sources():
@@ -212,6 +215,29 @@ def test_weight_sweep_needs_three_sources():
     ds = gen_topk(0.0, n_resources=5, n_instances=5, seed=1)
     with pytest.raises(ValueError):
         weight_sweep(task, [ds], ds, grid_resolution=2)
+
+
+def test_weight_sweep_rejects_a_bad_grid_before_training(monkeypatch):
+    task = topk_task(5, 1)
+    ds = gen_topk(0.0, n_resources=5, n_instances=5, seed=1)
+    trained = []
+    monkeypatch.setattr(transfer, "train_regret_min", lambda *args, **kwargs: trained.append(args))
+    with pytest.raises(ValueError, match="grid resolution must be >= 1"):
+        weight_sweep(task, [ds, ds, ds], ds, grid_resolution=0)
+    assert trained == []
+
+
+def test_transfer_layer_rejects_a_task_the_data_is_not_of():
+    k1, k3 = gen_topk(0.0, n_instances=5, seed=1), gen_topk(0.0, n_instances=5, k=3, seed=1)
+    with pytest.raises(ValueError, match="'k' differs: 1 vs 3"):
+        transfer_records(k1.task, [k1, k3], k1, budget=10)
+    with pytest.raises(ValueError, match="'k' differs: 3 vs 1"):
+        train_regret_min(k3.task, k1, budget=10)
+    m = PredictiveModel("linear", np.zeros(2))
+    with pytest.raises(ValueError, match="'k' differs: 3 vs 1"):
+        evaluate_bound(k3.task, m, m, k1, k1, lam=1.0, k1=1.0, k2=1.0)
+    with pytest.raises(ValueError, match="label width 7 is not the task's 5"):
+        transfer.default_lipschitz_constants(topk_task(5, 1), 7)
 
 
 def test_feature_label_pooled_distance_basics():
@@ -368,7 +394,7 @@ def test_evaluate_bound_rejects_mixed_task_families():
     source = gen_topk(0.5, n_resources=5, n_instances=6, seed=1)
     target = gen_inventory(1, 2, n_instances=6, seed=2)
     m = PredictiveModel("linear", np.zeros(2))
-    with pytest.raises(ValueError, match="same task family"):
+    with pytest.raises(ValueError, match="task kinds differ: 'topk' vs 'inventory'"):
         evaluate_bound(source.task, m, m, source, target, lam=1.0, k1=1.0, k2=1.0)
 
 
