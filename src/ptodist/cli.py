@@ -10,6 +10,7 @@ import argparse
 import csv
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -252,78 +253,83 @@ def cmd_repro(args) -> int:
     d_a = datagen.gen_topk(0.0, n_instances=n_instances, seed=seed + 1)
     d_b = datagen.gen_topk(1.2, n_instances=n_instances, seed=seed + 2)
     d_c = datagen.gen_topk(0.65, n_instances=n_instances, seed=seed + 3)
-    # weight sweep over gamma-shifted sources onto d_c; its records carry the
-    # regret of the model trained on d_c, which the motivating example reports
-    gammas = np.linspace(0.0, 1.3, 9)
-    sources = [
-        datagen.gen_topk(g, n_instances=n_instances, seed=seed + 10 + i)
-        for i, g in enumerate(gammas)
-    ]
-    rows_out, records = transfer.weight_sweep(
-        task, sources, d_c, grid_resolution=resolution, budget=budget, seed=seed
-    )
+    # the pooled baseline's assignments run beside everything else; scipy.optimize
+    # is imported first, since a worker importing it while this thread imports
+    # its HiGHS module can deadlock the import lock
+    import scipy.optimize  # noqa: F401
 
-    theta_a = transfer.train_regret_min(task, d_a, budget=budget, seed=seed)
-    theta_b = transfer.train_regret_min(task, d_b, budget=budget, seed=seed)
-    _write_csv(
-        out_dir / "motivating_regrets.csv",
-        ["model", "target_regret"],
-        [
-            ("trained_on_gamma_0.0", fmt(transfer.mean_regret(task, theta_a, d_c))),
-            ("trained_on_gamma_1.2", fmt(transfer.mean_regret(task, theta_b, d_c))),
-            ("trained_on_target", fmt(records[0].regret_target_on_target)),
-        ],
-    )
-    w_dec = GroundCostWeights(0.5, 0.0, 0.5)
-    pooled_ac, pooled_bc = transfer.feature_label_pooled_distances([d_a, d_b], d_c)
-    _write_csv(
-        out_dir / "motivating_distances.csv",
-        ["pair", "feature_label_pooled", "decision_aware"],
-        [
-            ("A_to_C", fmt(pooled_ac), fmt(decision_aware_distance(d_a, d_c, w_dec))),
-            ("B_to_C", fmt(pooled_bc), fmt(decision_aware_distance(d_b, d_c, w_dec))),
-        ],
-    )
-
-    _write_csv(
-        out_dir / "weight_sweep.csv",
-        ["alpha_x", "alpha_y", "alpha_w", "r2"],
-        _sweep_rows(rows_out),
-    )
-    _write_csv(
-        out_dir / "sweep_transferability.csv",
-        ["gamma", "transferability", "regret_source_on_target", "regret_target_on_target"],
-        [
-            (fmt(g), fmt(r.transferability), fmt(r.regret_source_on_target),
-             fmt(r.regret_target_on_target))
-            for g, r in zip(gammas, records)
-        ],
-    )
-
-    # target-shift study on the grid task, with and without a path-length term
-    grid_rows = []
-    w_third = GroundCostWeights(1 / 3, 1 / 3, 1 / 3)
-    w_fl = GroundCostWeights(0.5, 0.5, 0.0)
-    for variant, lw in (("cost_only", 0.0), ("cost_plus_length", 5.0)):
-        tgt = datagen.gen_grid(
-            class_cost_seed=seed + 100, map_seed=seed + 200,
-            n_instances=min(n_instances, 20), length_weight=lw,
+    with ThreadPoolExecutor(1) as pool:
+        pooled = pool.submit(transfer.feature_label_pooled_distances, [d_a, d_b], d_c)
+        # weight sweep over gamma-shifted sources onto d_c; its records carry the
+        # regret of the model trained on d_c, which the motivating example reports
+        gammas = np.linspace(0.0, 1.3, 9)
+        sources = [
+            datagen.gen_topk(g, n_instances=n_instances, seed=seed + 10 + i)
+            for i, g in enumerate(gammas)
+        ]
+        rows_out, records = transfer.weight_sweep(
+            task, sources, d_c, grid_resolution=resolution, budget=budget, seed=seed
         )
-        for shift in range(4):
-            src = datagen.gen_grid(
-                class_cost_seed=seed + 101 + shift, map_seed=seed + 200,
+
+        theta_a = transfer.train_regret_min(task, d_a, budget=budget, seed=seed)
+        theta_b = transfer.train_regret_min(task, d_b, budget=budget, seed=seed)
+        _write_csv(
+            out_dir / "motivating_regrets.csv",
+            ["model", "target_regret"],
+            [
+                ("trained_on_gamma_0.0", fmt(transfer.mean_regret(task, theta_a, d_c))),
+                ("trained_on_gamma_1.2", fmt(transfer.mean_regret(task, theta_b, d_c))),
+                ("trained_on_target", fmt(records[0].regret_target_on_target)),
+            ],
+        )
+        w_dec = GroundCostWeights(0.5, 0.0, 0.5)
+        decision_ac, decision_bc = (decision_aware_distance(d, d_c, w_dec) for d in (d_a, d_b))
+
+        _write_csv(
+            out_dir / "weight_sweep.csv",
+            ["alpha_x", "alpha_y", "alpha_w", "r2"],
+            _sweep_rows(rows_out),
+        )
+        _write_csv(
+            out_dir / "sweep_transferability.csv",
+            ["gamma", "transferability", "regret_source_on_target", "regret_target_on_target"],
+            [
+                (fmt(g), fmt(r.transferability), fmt(r.regret_source_on_target),
+                 fmt(r.regret_target_on_target))
+                for g, r in zip(gammas, records)
+            ],
+        )
+
+        # target-shift study on the grid task, with and without a path-length term
+        grid_rows = []
+        w_third = GroundCostWeights(1 / 3, 1 / 3, 1 / 3)
+        w_fl = GroundCostWeights(0.5, 0.5, 0.0)
+        for variant, lw in (("cost_only", 0.0), ("cost_plus_length", 5.0)):
+            tgt = datagen.gen_grid(
+                class_cost_seed=seed + 100, map_seed=seed + 200,
                 n_instances=min(n_instances, 20), length_weight=lw,
             )
-            grid_rows.append(
-                (variant, shift,
-                 fmt(decision_aware_distance(src, tgt, w_fl)),
-                 fmt(decision_aware_distance(src, tgt, w_third)))
-            )
-    _write_csv(
-        out_dir / "target_shift_grid.csv",
-        ["task_variant", "shift_id", "feature_label_distance", "decision_aware_distance"],
-        grid_rows,
-    )
+            for shift in range(4):
+                src = datagen.gen_grid(
+                    class_cost_seed=seed + 101 + shift, map_seed=seed + 200,
+                    n_instances=min(n_instances, 20), length_weight=lw,
+                )
+                grid_rows.append(
+                    (variant, shift,
+                     fmt(decision_aware_distance(src, tgt, w_fl)),
+                     fmt(decision_aware_distance(src, tgt, w_third)))
+                )
+        _write_csv(
+            out_dir / "target_shift_grid.csv",
+            ["task_variant", "shift_id", "feature_label_distance", "decision_aware_distance"],
+            grid_rows,
+        )
+        pooled_ac, pooled_bc = pooled.result()
+        _write_csv(
+            out_dir / "motivating_distances.csv",
+            ["pair", "feature_label_pooled", "decision_aware"],
+            [("A_to_C", fmt(pooled_ac), fmt(decision_ac)), ("B_to_C", fmt(pooled_bc), fmt(decision_bc))],
+        )
     print(f"wrote reproduction tables to {out_dir}")
     return EXIT_OK
 

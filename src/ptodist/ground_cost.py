@@ -13,6 +13,7 @@ modes control which labels the decision term is evaluated under:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,9 @@ class GroundCostWeights:
     alpha_w: float
 
     def __post_init__(self):
-        if self.alpha_x < 0 or self.alpha_y < 0 or self.alpha_w < 0:
-            raise ValueError("ground-cost weights must be nonnegative")
+        for name, value in vars(self).items():
+            if not 0 <= value < math.inf:
+                raise ValueError(f"ground-cost weights must be nonnegative and finite, got {name}={value!r}")
         total = self.alpha_x + self.alpha_y + self.alpha_w
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"ground-cost weights must sum to 1, got {total!r}")

@@ -15,6 +15,7 @@ path cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -38,9 +39,9 @@ class InventoryParams:
     qh: float = 25.0
 
     def __post_init__(self):
-        vals = (self.c0, self.q0, self.cb, self.qb, self.ch, self.qh)
-        if any(v < 0 for v in vals):
-            raise ValueError("inventory cost coefficients must be nonnegative")
+        for name, value in vars(self).items():
+            if not 0 <= value < math.inf:
+                raise ValueError(f"inventory cost coefficients must be nonnegative and finite, got {name}={value!r}")
         if not (self.q0 > 0 or (self.qb > 0 and self.qh > 0)):
             raise ValueError("need q0 > 0 or both qb, qh > 0 for a unique minimizer")
 
@@ -84,6 +85,10 @@ class TaskDefinition:
             if key not in given:
                 raise ValueError(f"task params missing {key!r}")
         object.__setattr__(self, "params", {key: given[key] for key in family.params})
+        for key, kind in family.params.items():
+            numbers = kind in ("a number", "a list of numbers")
+            if numbers and not np.isfinite(np.asarray(self.params[key], dtype=float)).all():
+                raise ValueError(f"task param {key!r} must be finite, got {self.params[key]!r}")
         if self.kind == "topk":
             k = self.params["k"]
             n = self.params["n_resources"]

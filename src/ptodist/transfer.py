@@ -286,11 +286,14 @@ def feature_label_pooled_distances(
     pairs, matching the classical supervised-learning view of a dataset. Only
     defined for tasks whose features and labels are aligned element-wise.
 
-    Every cost is built on the calling thread (built in worker threads, the
-    costs land in per-thread malloc arenas, which raised peak memory). A
-    source of the target's pooled size is an assignment, solved on its own
-    thread in the array that held its cost; any other size is solved as a
-    linear program.
+    Every cost is built on the calling thread, not one per solving thread:
+    built on two threads, the costs landed in per-thread malloc arenas and
+    raised peak memory by up to 13 MB. A source of the target's pooled size is
+    an assignment, solved on its own thread in the array that held its cost;
+    any other size is solved as a linear program. ``repro`` calls this on a
+    worker thread beside the rest of its pipeline (+1.4 MB of peak memory),
+    after importing ``scipy.optimize`` on its own thread: two threads first
+    importing it at once can deadlock on Python's import lock.
     """
     xb, yb = target.X.ravel(), target.Y.ravel()
     costs = [CostMatrix(_pooled_cost(s.X.ravel(), s.Y.ravel(), xb, yb, alpha_x, alpha_y))

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -365,9 +366,11 @@ def _run_cli(args, cwd):
 def test_criterion_9_cli_determinism(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("seed=3\nbudget=200\nresolution=2\ninstances=8\n")
-    digests = []
-    for run in range(3):
-        d = tmp_path / f"run{run}"
+
+    def run(index):
+        # one run's commands, in order, in its own directory; the runs are
+        # independent, so they go on three threads at once
+        d = tmp_path / f"run{index}"
         d.mkdir()
 
         def cli(args, rc=0):
@@ -402,7 +405,10 @@ def test_criterion_9_cli_determinism(tmp_path):
             if f.is_file():
                 h.update(f.relative_to(d).as_posix().encode())
                 h.update(f.read_bytes())
-        digests.append(h.hexdigest())
+        return h.hexdigest()
+
+    with ThreadPoolExecutor(3) as pool:
+        digests = list(pool.map(run, range(3)))
     report(9, "CLI determinism across 3 runs", len(set(digests)) == 1,
            digests[0][:12])
 

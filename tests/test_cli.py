@@ -5,12 +5,17 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ptodist
 from ptodist import cli, transfer
 from ptodist.datagen import read_dataset
 from ptodist.ground_cost import GroundCostWeights, pairwise_cost_matrix
@@ -96,6 +101,12 @@ def test_dist_breakdown_and_weights(tmp_path, capsys):
         w = GroundCostWeights(1 / 3, 1 / 3, 1 / 3)
         C = pairwise_cost_matrix(read_dataset(a), read_dataset(b), w, mode=mode).entries
         assert np.array_equal(np.array([float(r["total"]) for r in rows]), C.ravel())
+
+
+def test_dist_nonfinite_weight_is_a_data_error(tmp_path, capsys):
+    a = gen_topk_file(tmp_path, "a.plds", 0.0, 1)
+    assert run_cli(["dist", str(a), str(a), "--alpha-x", "nan"]) == 2
+    assert capsys.readouterr().err == "error: ground-cost weights must be nonnegative and finite, got alpha_x=nan\n"
 
 
 def test_dist_task_mismatch_exit_code(tmp_path):
@@ -389,15 +400,68 @@ def test_cli_rerun_is_bit_identical(tmp_path):
     assert hashes[0] == hashes[1]
 
 
+SMALL_REPRO = "seed=3\nbudget=200\nresolution=2\ninstances=8\n"  # criterion 9's config
+
+
 def test_repro_command_small_config(tmp_path):
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("seed=3\nbudget=200\nresolution=2\ninstances=8\n")
+    cfg.write_text(SMALL_REPRO)
     out_dir = tmp_path / "out"
     assert run_cli(["repro", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
     for name in ("motivating_regrets.csv", "motivating_distances.csv",
                  "weight_sweep.csv", "sweep_transferability.csv", "target_shift_grid.csv"):
         assert (out_dir / name).exists(), name
     assert len(read_rows(out_dir / "weight_sweep.csv")) == 6
+
+
+def test_repro_imports_scipy_optimize_before_any_thread_starts(tmp_path):
+    # a worker's first scipy.optimize import racing this thread's first HiGHS
+    # import can deadlock the import lock; the race is timing-dependent, the
+    # import order is not
+    (tmp_path / "cfg.txt").write_text(SMALL_REPRO)
+    code = """if True:
+        import json, sys
+        from concurrent.futures import ThreadPoolExecutor
+        from ptodist import cli
+        loaded = []
+        submit = ThreadPoolExecutor.submit
+        def spy(pool, fn, *args, **kwargs):
+            loaded.append("scipy.optimize._highspy._core" in sys.modules)
+            return submit(pool, fn, *args, **kwargs)
+        ThreadPoolExecutor.submit = spy
+        code = cli.main(["repro", "--config", "cfg.txt", "--out-dir", "out"])
+        print(json.dumps([code, loaded]))
+    """
+    env = os.environ.copy()
+    pkg_parent = os.path.dirname(os.path.dirname(os.path.abspath(ptodist.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_parent, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert loaded and all(loaded), loaded
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("patched, exc, exit_code", [
+    (None, None, 0),
+    ("weight_sweep", ValueError("sweep failed"), 2),
+    ("feature_label_pooled_distances", RuntimeError("pooled failed"), 3),
+])
+def test_repro_joins_its_threads_on_every_path(tmp_path, monkeypatch, patched, exc, exit_code):
+    if patched:
+        monkeypatch.setattr(transfer, patched, _raise(exc))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(SMALL_REPRO)
+    before = threading.active_count()
+    assert run_cli(["repro", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == exit_code
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("lines, lineno, message", [

@@ -58,6 +58,17 @@ def test_weights_validation():
     assert w.alpha_w == 0.5
 
 
+@pytest.mark.parametrize("weights, named", [
+    ((float("nan"), 0.5, 0.5), "alpha_x=nan"),
+    ((0.5, float("inf"), 0.5), "alpha_y=inf"),
+    ((0.5, 0.5, float("-inf")), "alpha_w=-inf"),
+])
+def test_nonfinite_weights_are_rejected(weights, named):
+    with pytest.raises(ValueError) as info:
+        GroundCostWeights(*weights)
+    assert str(info.value) == f"ground-cost weights must be nonnegative and finite, got {named}"
+
+
 def test_disparity_examples():
     t = topk_task(3, 1)
     Y = np.array([[3.0, 1.0, 2.0]] * 2)

@@ -143,6 +143,26 @@ def test_inventory_params_validation():
         InventoryParams(q0=0.0, qb=0.0, qh=1.0)  # no unique minimizer guarantee
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: InventoryParams(c0=float("nan")),
+     "inventory cost coefficients must be nonnegative and finite, got c0=nan"),
+    (lambda: InventoryParams(qh=float("inf")),
+     "inventory cost coefficients must be nonnegative and finite, got qh=inf"),
+    (lambda: shortest_path_task(3, length_weight=float("inf")),
+     "task param 'length_weight' must be finite, got inf"),
+    (lambda: shortest_path_task(3, length_weight=float("nan")),
+     "task param 'length_weight' must be finite, got nan"),
+    (lambda: inventory_task(demand_values=(1.0, float("inf"))),
+     "task param 'demand_values' must be finite, got (1.0, inf)"),
+    (lambda: inventory_task(demand_values=(float("nan"), 1.0)),
+     "task param 'demand_values' must be finite, got (nan, 1.0)"),
+])
+def test_nonfinite_task_values_are_rejected_at_construction(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def test_fstock_examples():
     p = InventoryParams()
     for z in (0.5, 1.0, 3.0):

@@ -1,0 +1,112 @@
+"""Paired benchmark runs of two source trees: a parent and a change.
+
+    python3 tools/bench_pairs.py --parent ../parent --change ../change \
+        --workload training --pairs 10 --first-seed 21 --out BENCH_21.json \
+        --describe "what the change does" --claim "what it should move"
+
+Each pair runs ``bench/run.py`` once in each tree, at one seed per pair
+(``--first-seed`` + pair index), one process at a time; the parent runs first
+in odd pairs and the change first in even ones. Each tree runs its own
+``bench/`` on its own ``src/``, so both sides must hold the same bench code.
+The workload's section of ``--out`` is replaced (other workloads are kept):
+every run's end-to-end metrics, and per metric each side's median and
+quartiles (inclusive method), the change-to-parent ratio of the medians,
+the number of pairs in which the change reads lower (ties count for neither)
+and whether the gain rule holds: the change lower in at least nine tenths of
+the pairs, and the medians further apart than the parent's quartiles.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy
+import scipy
+
+METRICS = ("setup_s", "run_s", "op_p50_ms", "peak_rss_mb")
+
+
+def run_bench(tree, workload, seed, seconds):
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    return dict({m: result["metrics"][m]["value"] for m in METRICS},
+                failed=result["failed"], attempted=result["attempted"], correct=result["correct"])
+
+
+def summarize(runs):
+    summary = {}
+    for m in METRICS:
+        parent = [r["parent"][m] for r in runs.values()]
+        change = [r["change"][m] for r in runs.values()]
+        p1, p_med, p3 = statistics.quantiles(parent, n=4, method="inclusive")
+        c1, c_med, c3 = statistics.quantiles(change, n=4, method="inclusive")
+        wins = sum(c < p for p, c in zip(parent, change))
+        summary[m] = {
+            "parent_median": round(p_med, 4), "parent_iqr": [round(p1, 4), round(p3, 4)],
+            "change_median": round(c_med, 4), "change_iqr": [round(c1, 4), round(c3, 4)],
+            "ratio": round(c_med / p_med, 3), "change_better_in": wins,
+            "gain_rule_met": wins >= 0.9 * len(runs) and p_med - c_med > p3 - p1,
+        }
+    for side in ("parent", "change"):
+        failed = sum(r[side]["failed"] for r in runs.values())
+        attempted = sum(r[side]["attempted"] for r in runs.values())
+        summary.setdefault("failed_ops", {})[side] = f"{failed} of {attempted}"
+    summary["all_correct"] = all(r[s]["correct"] for r in runs.values() for s in ("parent", "change"))
+    summary["runs"] = runs
+    return summary
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("--parent", required=True, help="source tree of the parent commit (a git clone)")
+    p.add_argument("--change", required=True, help="source tree of the change")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--pairs", type=int, required=True)
+    p.add_argument("--first-seed", type=int, required=True)
+    p.add_argument("--seconds", type=int, default=20)
+    p.add_argument("--out", required=True)
+    p.add_argument("--describe", required=True, help="what the change does")
+    p.add_argument("--claim", required=True, help="which metrics should move, and which should not")
+    args = p.parse_args(argv)
+
+    trees = {"parent": args.parent, "change": args.change}
+    runs = {}
+    for pair in range(1, args.pairs + 1):
+        seed = args.first_seed + pair - 1
+        order = ("parent", "change") if pair % 2 else ("change", "parent")
+        runs[str(pair)] = {"seed": seed, **{side: run_bench(trees[side], args.workload, seed, args.seconds)
+                                              for side in order}}
+        print(f"{args.workload} pair {pair}: "
+              + ", ".join(f"{side} run_s {runs[str(pair)][side]['run_s']:.3f}" for side in order),
+              file=sys.stderr)
+
+    out = Path(args.out)
+    record = json.loads(out.read_text(encoding="utf-8")) if out.is_file() else {}
+    record.update({
+        "change": args.describe,
+        "claim": args.claim,
+        "parent_commit": subprocess.run(["git", "-C", args.parent, "rev-parse", "HEAD"], check=True,
+                                        capture_output=True, text=True).stdout.strip(),
+        "command": "python3 bench/run.py --workload W --seed S --seconds %d --trace 0" % args.seconds,
+        "protocol": ("alternating pairs, the parent first in odd pairs, one seed per pair, one process "
+                     "at a time; medians and quartiles (inclusive method) per side; change_better_in "
+                     "counts pairs where the change's value is lower"),
+        "machine": {"platform": platform.platform(), "cpus": os.cpu_count()},
+        "versions": {"python": platform.python_version(), "numpy": numpy.__version__, "scipy": scipy.__version__},
+    })
+    record.setdefault("workloads", {})[args.workload] = summarize(runs)
+    out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
