@@ -88,7 +88,7 @@ class PtODataset:
         for name, v in zip("XYZ", arrays):
             v.flags.writeable = False
             object.__setattr__(self, name, v)
-        object.__setattr__(self, "_optimal_quality", None)
+        object.__setattr__(self, "_optimum", None)
 
     def __len__(self) -> int:
         return len(self.X)
@@ -98,14 +98,23 @@ class PtODataset:
         """The rows as :class:`Sample` views."""
         return tuple(Sample(x=x, y=y, z=z) for x, y, z in zip(self.X, self.Y, self.Z))
 
+    def optimal_decisions(self) -> np.ndarray:
+        """The oracle decision w*(y_i) for each sample's labels (read-only),
+        computed on first use and kept with :meth:`optimal_quality`."""
+        return self._optimal()[0]
+
     def optimal_quality(self) -> np.ndarray:
         """g(w*(y_i); y_i) for each sample under the dataset's task (read-only),
-        computed on first use and kept."""
-        if self._optimal_quality is None:
-            q = objective_rows(self.task, oracle_batch(self.task, self.Y), self.Y)
-            q.flags.writeable = False
-            object.__setattr__(self, "_optimal_quality", q)
-        return self._optimal_quality
+        computed on first use and kept with :meth:`optimal_decisions`."""
+        return self._optimal()[1]
+
+    def _optimal(self):
+        if self._optimum is None:
+            Z = oracle_batch(self.task, self.Y)
+            q = objective_rows(self.task, Z, self.Y)
+            Z.flags.writeable = q.flags.writeable = False
+            object.__setattr__(self, "_optimum", (Z, q))
+        return self._optimum
 
 
 def gen_topk(
@@ -234,33 +243,24 @@ def _is_number(v) -> bool:
     return (type(v) is int and abs(v) <= 1e308) or (type(v) is float and math.isfinite(v))
 
 
-def _json_is(value, json_type: str) -> bool:
-    if json_type == "a list of numbers":
-        return isinstance(value, list) and all(map(_is_number, value))
-    if json_type == "an object of numbers":
-        return isinstance(value, dict) and all(map(_is_number, value.values()))
-    return {"an integer": type(value) is int, "a boolean": type(value) is bool,
-            "a number": _is_number(value)}[json_type]
-
-
 def _line_error(path, lineno: int, message) -> DatasetFormatError:
     return DatasetFormatError(f"{path}: line {lineno}: {message}")
 
 
 def _param_from_json(key, value, json_type):
-    """A task param's JSON value as the task holds it. A param with no type is
-    unknown to the family; the task names it."""
-    if json_type is not None and not _json_is(value, json_type):
+    """A task param's JSON value as the task holds it: an object of numbers
+    becomes :class:`InventoryParams`, the one shape the reader converts. Any
+    other value goes on as it is; the task checks its type, and names a param
+    with no type, one unknown to the family."""
+    if json_type != "an object of numbers":
+        return value
+    if not (isinstance(value, dict) and all(map(_is_number, value.values()))):
         raise ValueError(f"task param {key!r} must be {json_type}")
-    if json_type == "a list of numbers":
-        return tuple(value)
-    if json_type == "an object of numbers":
-        known = {f.name for f in fields(InventoryParams)}
-        unknown = [name for name in value if name not in known]
-        if unknown:
-            raise ValueError(f"unknown inventory param {unknown[0]!r}")
-        return InventoryParams(**value)
-    return value
+    known = {f.name for f in fields(InventoryParams)}
+    unknown = [name for name in value if name not in known]
+    if unknown:
+        raise ValueError(f"unknown inventory param {unknown[0]!r}")
+    return InventoryParams(**value)
 
 
 def _task_from_json(obj, path) -> TaskDefinition:
@@ -324,7 +324,7 @@ def read_dataset(path) -> PtODataset:
         for key in ("x", "y", "z"):
             if key not in rec:
                 raise _line_error(path, lineno, f"sample record missing field {key!r}")
-            if not rec[key] or not _json_is(rec[key], "a list of numbers"):
+            if not (rec[key] and isinstance(rec[key], list) and all(map(_is_number, rec[key]))):
                 raise _line_error(path, lineno, f"field {key!r} must be a nonempty list of finite numbers")
             if records and len(rec[key]) != len(records[0][key]):
                 raise _line_error(path, lineno, f"field {key!r} has {len(rec[key])} values, "

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,8 +88,12 @@ class Marginal:
         object.__setattr__(self, "weights", w)
 
     @classmethod
+    @lru_cache(maxsize=32)
     def uniform(cls, n: int) -> "Marginal":
-        return cls(np.full(n, 1.0 / n))
+        """The uniform marginal on n points, checked once per size and kept (read-only)."""
+        w = np.full(n, 1.0 / n)
+        w.flags.writeable = False
+        return cls(w)
 
     def __len__(self) -> int:
         return self.weights.size

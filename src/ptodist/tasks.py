@@ -16,6 +16,7 @@ path cost.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -65,6 +66,21 @@ FAMILIES = {
 }
 
 
+def _is_real(v) -> bool:
+    """An int or a float; a bool is not one."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# The check of each param type of FAMILIES on the value a task holds
+_PARAM_TYPES = {
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a boolean": lambda v: isinstance(v, bool),
+    "a number": _is_real,
+    "a list of numbers": lambda v: isinstance(v, (list, tuple)) and all(map(_is_real, v)),
+    "an object of numbers": lambda v: isinstance(v, InventoryParams),
+}
+
+
 @dataclass(frozen=True)
 class TaskDefinition:
     """A task of one of the :data:`FAMILIES`, its params in the family's order with the defaults filled in.
@@ -86,9 +102,14 @@ class TaskDefinition:
                 raise ValueError(f"task params missing {key!r}")
         object.__setattr__(self, "params", {key: given[key] for key in family.params})
         for key, kind in family.params.items():
-            numbers = kind in ("a number", "a list of numbers")
-            if numbers and not np.isfinite(np.asarray(self.params[key], dtype=float)).all():
-                raise ValueError(f"task param {key!r} must be finite, got {self.params[key]!r}")
+            value = self.params[key]
+            if not _PARAM_TYPES[kind](value):
+                raise ValueError(f"task param {key!r} must be {kind}, got {value!r}")
+            numbers = value if kind == "a list of numbers" else [value] if kind == "a number" else []
+            if not all(abs(v) <= sys.float_info.max for v in numbers):  # NaN fails too
+                raise ValueError(f"task param {key!r} must be finite, got {value!r}")
+            if kind == "a list of numbers":  # a list and a tuple of the same numbers are one task
+                self.params[key] = tuple(value)
         if self.kind == "topk":
             k = self.params["k"]
             n = self.params["n_resources"]
@@ -106,8 +127,6 @@ class TaskDefinition:
             demands = np.asarray(self.params["demand_values"], dtype=float)
             if demands.size < 2 or np.any(np.diff(demands) <= 0):
                 raise ValueError("demand values must be strictly increasing, length >= 2")
-            if not isinstance(self.params["inventory_params"], InventoryParams):
-                raise ValueError("inventory task requires inventory_params")
             label_dim = demands.size  # a probability per demand value
         # attributes, not fields: a task's equality and its header are its kind and params
         object.__setattr__(self, "label_dim", label_dim)

@@ -104,6 +104,12 @@ def mean_regrets(task: TaskDefinition, thetas, dataset: PtODataset):
         Z = oracle_batch(task, y_hat)
     else:  # a stack: one oracle call on every model's rows, then one block per model
         Z = oracle_batch(task, y_hat.reshape(-1, y_hat.shape[-1])).reshape(y_hat.shape[:-1] + (-1,))
+    return _regret_means(task, Z, dataset)
+
+
+def _regret_means(task, Z, dataset):
+    """Mean regret over the dataset's rows of the decisions Z, one per row, or
+    of each block of a stack of them."""
     regrets = np.abs(dataset.optimal_quality() - objective_rows(task, Z, dataset.Y))
     # summed one after another in sample order, so that the pattern search,
     # which compares these means, sees the same values as a running total
@@ -380,22 +386,27 @@ def evaluate_bound(
 
 
 def _bound_reports(task, f, f_tilde, source, target, lams, k1, k2) -> list[BoundReport]:
-    """:func:`evaluate_bound` at each lambda of ``lams``. The decisions, the
-    component matrices, the three regrets and the predictions of ``f_tilde``
-    do not depend on lambda and are computed once."""
+    """:func:`evaluate_bound` at each lambda of ``lams``. The predictions, the
+    decisions, the component matrices and the three regrets do not depend on
+    lambda and are computed once: one oracle call decides the predictions of
+    ``f`` on the target and of ``f_tilde`` on both datasets (rows are
+    independent), and the source keeps its own oracle decisions."""
     for name, value in [*(("lambda", lam) for lam in lams), ("k1", k1), ("k2", k2)]:
         if not 0 < value < np.inf:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
     shared_task(task, source.task, target.task)
+    y_t, pred_t, pred_s = (predict_rows(task, m.theta, d.X) for m, d in ((f, target), (f_tilde, target),
+                                                                        (f_tilde, source)))
+    Z = oracle_batch(task, np.concatenate([y_t, pred_t, pred_s]))
+    n = len(target)
+    z_t, z_tilde_t, z_tilde_s = Z[:n], Z[n:2 * n], Z[2 * n:]
     # rows: target (predicted decisions); cols: source (oracle decisions).
     # As-written mode scores both decisions under the source labels.
-    z_t = oracle_batch(task, predict_rows(task, f.theta, target.X))
-    z_s = oracle_batch(task, source.Y)
-    F, L, W = _components(task, target.X, target.Y, z_t, source.X, source.Y, z_s, "as-written")
-    pred_t, pred_s = (predict_rows(task, f_tilde.theta, d.X) for d in (target, source))
-    regrets = {"lhs": mean_regret(task, f, target),
-               "joint_regret_source": mean_regret(task, f_tilde, source),
-               "joint_regret_target": mean_regret(task, f_tilde, target)}
+    F, L, W = _components(task, target.X, target.Y, z_t, source.X, source.Y, source.optimal_decisions(),
+                          "as-written")
+    regrets = {"lhs": float(_regret_means(task, z_t, target)),
+               "joint_regret_source": float(_regret_means(task, z_tilde_s, source)),
+               "joint_regret_target": float(_regret_means(task, z_tilde_t, target))}
     reports = []
     for lam in lams:
         alpha_w = 1.0 / (lam * k1 + k2 + 1.0)

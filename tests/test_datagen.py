@@ -84,6 +84,22 @@ def test_dataset_arrays_are_read_only_copies_and_samples_view_them():
             s.y[0] = 1.0
 
 
+@pytest.mark.parametrize("make", [
+    lambda: gen_topk(0.3, n_resources=5, n_instances=4, seed=2),
+    lambda: gen_grid(1, 2, p=4, n_instances=3),
+    lambda: gen_inventory(1, 2, n_instances=4, seed=3),
+])
+def test_optimal_decisions_are_the_oracles_and_read_only(make):
+    ds = make()
+    Z, q = ds.optimal_decisions(), ds.optimal_quality()
+    assert Z.tobytes() == oracle_batch(ds.task, ds.Y).tobytes()
+    assert q.tobytes() == objective_rows(ds.task, oracle_batch(ds.task, ds.Y), ds.Y).tobytes()
+    assert ds.optimal_decisions() is Z and ds.optimal_quality() is q  # computed once, kept
+    for v in (Z, q):
+        with pytest.raises(ValueError, match="read-only"):
+            v[0] = 1.0
+
+
 def test_generators_match_per_instance_draws():
     cases = [
         (gen_topk(0.65, n_resources=25, n_instances=30, seed=4),

@@ -71,6 +71,15 @@ def test_marginal_validation():
     assert np.allclose(m.weights, 0.25)
 
 
+def test_uniform_marginal_is_kept_per_size_and_read_only():
+    m = Marginal.uniform(5)
+    assert Marginal.uniform(5) is m and Marginal.uniform(6) is not m
+    assert not m.weights.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        m.weights[0] = 1.0
+    assert m.weights.tobytes() == np.full(5, 1.0 / 5).tobytes()
+
+
 def test_plan_marginal_validation():
     a = Marginal.uniform(2)
     with pytest.raises(ValueError):

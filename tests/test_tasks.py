@@ -134,6 +134,9 @@ def test_task_params_take_the_family_order_and_defaults():
     assert list(task.params.items()) == [("p", 3), ("neighborhood", 8), ("count_start", True),
                                          ("length_weight", 0.5)]
     assert task == shortest_path_task(3, length_weight=0.5)
+    # a list of numbers is held as a tuple: the same numbers in a list or a tuple make one task
+    listed = TaskDefinition("inventory", {"demand_values": [5.0, 10.0], "inventory_params": InventoryParams()})
+    assert listed.params["demand_values"] == (5.0, 10.0) and listed == inventory_task((5.0, 10.0))
 
 
 def test_inventory_params_validation():
@@ -158,6 +161,24 @@ def test_inventory_params_validation():
      "task param 'demand_values' must be finite, got (nan, 1.0)"),
 ])
 def test_nonfinite_task_values_are_rejected_at_construction(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: topk_task(5.5, 1), "task param 'n_resources' must be an integer, got 5.5"),
+    (lambda: topk_task(5, True), "task param 'k' must be an integer, got True"),
+    (lambda: shortest_path_task(3, count_start=1), "task param 'count_start' must be a boolean, got 1"),
+    (lambda: shortest_path_task(3, neighborhood=8.0), "task param 'neighborhood' must be an integer, got 8.0"),
+    (lambda: shortest_path_task(3, length_weight="1"), "task param 'length_weight' must be a number, got '1'"),
+    (lambda: shortest_path_task(3, length_weight=False), "task param 'length_weight' must be a number, got False"),
+    (lambda: TaskDefinition("inventory", {"demand_values": (1.0, "2"), "inventory_params": InventoryParams()}),
+     "task param 'demand_values' must be a list of numbers, got (1.0, '2')"),
+    (lambda: TaskDefinition("inventory", {"demand_values": (1.0, 2.0), "inventory_params": {"c0": 1.0}}),
+     "task param 'inventory_params' must be an object of numbers, got {'c0': 1.0}"),
+])
+def test_task_param_types_are_checked_at_construction(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message

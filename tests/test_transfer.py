@@ -443,8 +443,23 @@ def test_bound_reports_over_a_lambda_grid_share_the_lambda_free_work(family, mon
     grid_calls = list(calls)
     calls.clear()
     evaluate_bound(task, f, f_tilde, source, target, lams[0], 3.0, 2.0)
-    # the decisions and the three regrets: the same oracle calls for 4 lambdas as for 1
-    assert grid_calls == calls and len(calls) == 5
+    # one oracle call decides f's target rows and f_tilde's target and source rows;
+    # the source's own decisions come from the dataset: the same call for 4 lambdas as for 1
+    assert grid_calls == calls == [2 * len(target) + len(source)]
+
+
+@pytest.mark.parametrize("family", sorted(BOUND_PAIRS))
+def test_bound_regrets_are_mean_regrets_bit_for_bit(family):
+    source, target = BOUND_PAIRS[family]()
+    task = source.task
+    rng = np.random.default_rng(10)
+    for _ in range(3):
+        f, f_tilde = (PredictiveModel("linear", rng.normal(0.0, 1.0, model_dim(task, source.X.shape[1])))
+                      for _ in range(2))
+        for rep in transfer._bound_reports(task, f, f_tilde, source, target, [0.5, 2.0], 3.0, 2.0):
+            assert rep.lhs == mean_regret(task, f, target)
+            assert rep.joint_regret_source == mean_regret(task, f_tilde, source)
+            assert rep.joint_regret_target == mean_regret(task, f_tilde, target)
 
 
 def test_evaluate_bound_perfect_model_self_pair():
