@@ -37,18 +37,12 @@ class _SampleError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Sample:
-    """One predict-then-optimize instance: features x, labels y, decision z."""
+    """One predict-then-optimize instance: features x, labels y, decision z,
+    as views of a :class:`PtODataset`'s checked rows; not checked again here."""
 
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
-
-    def __post_init__(self):
-        for name in ("x", "y", "z"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.ndim != 1 or v.size < 1:
-                raise ValueError(f"sample field {name!r} must be a nonempty vector")
-            object.__setattr__(self, name, v)
 
 
 @dataclass(frozen=True, eq=False)

@@ -94,18 +94,18 @@ def decision_aware_distance(
     Raises ``SinkhornConvergenceError`` (an ``ArithmeticError``) when the
     Sinkhorn solver stops unconverged.
     """
+    if solver not in ("exact", "sinkhorn"):
+        raise ValueError(f"solver must be 'exact' or 'sinkhorn', got {solver!r}")
     cost = pairwise_cost_matrix(dataset, dataset_prime, w, mode)
     a = Marginal.uniform(len(dataset))
     b = Marginal.uniform(len(dataset_prime))
     if solver == "exact":
         _, value = solve_exact(cost, a, b)
         return value
-    if solver == "sinkhorn":
-        res = solve_sinkhorn(cost, a, b, epsilon=epsilon)
-        if not res.converged:
-            raise SinkhornConvergenceError(
-                f"Sinkhorn at epsilon {epsilon!r} did not converge: marginal violation "
-                f"{res.marginal_violation:.3e} after {res.iterations} iterations"
-            )
-        return res.cost
-    raise ValueError(f"solver must be 'exact' or 'sinkhorn', got {solver!r}")
+    res = solve_sinkhorn(cost, a, b, epsilon=epsilon)
+    if not res.converged:
+        raise SinkhornConvergenceError(
+            f"Sinkhorn at epsilon {epsilon!r} did not converge: marginal violation "
+            f"{res.marginal_violation:.3e} after {res.iterations} iterations"
+        )
+    return res.cost

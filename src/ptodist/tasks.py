@@ -122,6 +122,9 @@ class TaskDefinition:
                 raise ValueError(f"grid side must be >= 2, got {p}")
             if self.params["neighborhood"] not in (4, 8):
                 raise ValueError("neighborhood must be 4 or 8")
+            length_weight = self.params["length_weight"]
+            if length_weight < 0:  # it is added to every cell cost, which must not be negative
+                raise ValueError(f"task param 'length_weight' must be nonnegative, got {length_weight!r}")
             label_dim = p * p  # a cost per cell
         else:
             demands = np.asarray(self.params["demand_values"], dtype=float)

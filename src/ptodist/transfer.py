@@ -83,7 +83,7 @@ def predict_rows(task: TaskDefinition, theta, X) -> np.ndarray:
         scores = X @ mat[..., :-1].mT
         scores += mat[..., None, :, -1]
         return score_probs(scores)
-    w = theta if theta.ndim == 1 else theta[:, None, None]
+    w = theta[..., None, None, :]  # each model's (weight, bias) against every (row, label)
     y_hat = w[..., 0] * X
     y_hat += w[..., 1]
     return np.maximum(y_hat, 0.0) if task.label_domain == "nonnegative" else y_hat
@@ -100,10 +100,8 @@ def mean_regrets(task: TaskDefinition, thetas, dataset: PtODataset):
     must be the dataset's."""
     shared_task(task, dataset.task)
     y_hat = predict_rows(task, thetas, dataset.X)
-    if y_hat.ndim == 2:  # one model: its predictions are already the oracle's rows
-        Z = oracle_batch(task, y_hat)
-    else:  # a stack: one oracle call on every model's rows, then one block per model
-        Z = oracle_batch(task, y_hat.reshape(-1, y_hat.shape[-1])).reshape(y_hat.shape[:-1] + (-1,))
+    # one oracle call on every model's rows, then one block per model
+    Z = oracle_batch(task, y_hat.reshape(-1, y_hat.shape[-1])).reshape(y_hat.shape[:-1] + (-1,))
     return _regret_means(task, Z, dataset)
 
 
@@ -277,53 +275,50 @@ def weight_sweep(
 # Rows of the pooled cost per label-term block: at 1 250 pooled points a
 # block's temporary is 0.6 MB beside the 12.5 MB cost.
 _POOLED_BLOCK_ROWS = 64
+# The weight of the feature term and of the label term of the pooled cost
+_POOLED_WEIGHT = 0.5
 
 
-def feature_label_pooled_distances(
-    sources: list[PtODataset],
-    target: PtODataset,
-    alpha_x: float = 0.5,
-    alpha_y: float = 0.5,
-) -> list[float]:
+def feature_label_pooled_distances(sources: list[PtODataset], target: PtODataset) -> list[float]:
     """Traditional feature-label OT distance from each source to the target,
-    over pooled per-resource pairs.
+    over pooled per-resource pairs, with the feature and label terms weighted
+    equally.
 
     Each instance is unrolled into its individual (feature, label) coordinate
     pairs, matching the classical supervised-learning view of a dataset. Only
-    defined for tasks whose features and labels are aligned element-wise.
+    defined for tasks whose features and labels are aligned element-wise, and
+    for sources of the target's pooled size: each distance is a uniform
+    assignment.
 
     Every cost is built on the calling thread, not one per solving thread:
     built on two threads, the costs landed in per-thread malloc arenas and
-    raised peak memory by up to 13 MB. A source of the target's pooled size is
-    an assignment, solved on its own thread in the array that held its cost;
-    any other size is solved as a linear program. ``repro`` calls this on a
-    worker thread beside the rest of its pipeline (+1.4 MB of peak memory),
-    after importing ``scipy.optimize`` on its own thread: two threads first
-    importing it at once can deadlock on Python's import lock.
+    raised peak memory by up to 13 MB. Each is then solved on its own thread in
+    the array that held it. ``repro`` calls this on a worker thread beside the
+    rest of its pipeline (+1.4 MB of peak memory), after importing
+    ``scipy.optimize`` on its own thread: two threads first importing it at
+    once can deadlock on Python's import lock.
     """
+    size = target.X.size
+    for d in (target, *sources):
+        if d.X.size != d.Y.size:
+            raise ValueError("pooled feature-label distance needs element-aligned x and y")
+        if d.X.size != size:
+            raise ValueError(f"pooled feature-label distance needs equal pooled sizes, "
+                             f"got a source of {d.X.size} against a target of {size}")
     xb, yb = target.X.ravel(), target.Y.ravel()
-    costs = [CostMatrix(_pooled_cost(s.X.ravel(), s.Y.ravel(), xb, yb, alpha_x, alpha_y))
-             for s in sources]
+    costs = [_pooled_cost(s.X.ravel(), s.Y.ravel(), xb, yb) for s in sources]
     if not costs:
         return []
     with ThreadPoolExecutor(len(costs)) as pool:
-        assigned = [pool.submit(_assign, c.entries) if c.n_rows == c.n_cols else None
-                    for c in costs]
-        return [
-            f.result() if f is not None
-            else solve_exact(c, Marginal.uniform(c.n_rows), Marginal.uniform(c.n_cols))[1]
-            for f, c in zip(assigned, costs)
-        ]
+        return list(pool.map(_assign, costs))
 
 
-def _pooled_cost(xa, ya, xb, yb, alpha_x, alpha_y):
-    """alpha_x |xa_i - xb_j| + alpha_y |ya_i - yb_j|, with the label term added
-    in blocks of rows so no second n x m array is formed."""
-    if xa.size != ya.size or xb.size != yb.size:
-        raise ValueError("pooled feature-label distance needs element-aligned x and y")
-    C = _scaled_abs_diff(xa, xb, alpha_x)
+def _pooled_cost(xa, ya, xb, yb):
+    """w |xa_i - xb_j| + w |ya_i - yb_j| at w = ``_POOLED_WEIGHT``, with the
+    label term added in blocks of rows so no second n x m array is formed."""
+    C = _scaled_abs_diff(xa, xb, _POOLED_WEIGHT)
     for lo in range(0, xa.size, _POOLED_BLOCK_ROWS):
-        C[lo:lo + _POOLED_BLOCK_ROWS] += _scaled_abs_diff(ya[lo:lo + _POOLED_BLOCK_ROWS], yb, alpha_y)
+        C[lo:lo + _POOLED_BLOCK_ROWS] += _scaled_abs_diff(ya[lo:lo + _POOLED_BLOCK_ROWS], yb, _POOLED_WEIGHT)
     return C
 
 

@@ -1,0 +1,59 @@
+"""Tests for the verdicts of tools/bench_pairs.py, on synthetic runs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+TIGHT = [1.0 + 0.01 * i for i in range(10)]  # quartiles 4.3 % of the median apart
+WIDE = [2.0 + 0.2 * i for i in range(10)]    # quartiles 31 % of the median apart
+
+
+def make_runs(parent, change, failed=(0, 0)):
+    """Pairs that read ``parent[i]`` and ``change[i]`` on every metric."""
+    def side(value, n_failed):
+        return dict({m: value for m in bench_pairs.METRICS}, failed=n_failed, attempted=10, correct=True)
+    return {str(i + 1): {"seed": i, "parent": side(p, failed[0]), "change": side(c, failed[1])}
+            for i, (p, c) in enumerate(zip(parent, change))}
+
+
+def test_bounds_are_the_benchmarks():
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    assert bench_pairs.BOUNDS == {m["name"]: m["bound"] for m in declared}
+    summary = bench_pairs.summarize(make_runs(TIGHT, TIGHT))
+    assert all(summary[m]["bound"] == bench_pairs.BOUNDS[m] for m in bench_pairs.METRICS)
+
+
+@pytest.mark.parametrize("parent, change, verdict", [
+    (TIGHT, [v - 0.2 for v in TIGHT], "better"),
+    (WIDE, [0.5 + 0.01 * i for i in range(10)], "better"),  # wide, but every change run is lower
+    (TIGHT, TIGHT, "unchanged"),
+    (TIGHT, [v + 0.01 for v in TIGHT], "unchanged"),  # higher, within every bound
+    (TIGHT, [1.3 * v for v in TIGHT], "worse"),
+    (WIDE, [1.3 * v for v in WIDE], "worse"),  # worse is told even where the parent is wide
+    (WIDE, WIDE, "unresolved"),
+    (WIDE, [v - 0.1 for v in WIDE], "unresolved"),  # lower in every pair, not below every parent run
+])
+def test_verdict_of_each_outcome(parent, change, verdict):
+    summary = bench_pairs.summarize(make_runs(parent, change))
+    assert {summary[m]["verdict"] for m in bench_pairs.METRICS} == {verdict}
+
+
+def test_verdict_follows_each_metrics_bound():
+    # +10 %: inside the 25 % time bounds, outside the 5 % memory bound
+    summary = bench_pairs.summarize(make_runs(TIGHT, [1.1 * v for v in TIGHT]))
+    assert {m: summary[m]["verdict"] for m in bench_pairs.METRICS} == {
+        m: "worse" if bench_pairs.BOUNDS[m] < 0.1 else "unchanged" for m in bench_pairs.METRICS}
+
+
+@pytest.mark.parametrize("failed, grew", [((0, 0), False), ((0, 1), True), ((1, 1), False), ((2, 1), False)])
+def test_failed_share(failed, grew):
+    summary = bench_pairs.summarize(make_runs(TIGHT, TIGHT, failed))
+    assert summary["failed_share_grew"] is grew
+    assert summary["failed_ops"] == {"parent": f"{10 * failed[0]} of 100", "change": f"{10 * failed[1]} of 100"}

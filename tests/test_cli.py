@@ -70,6 +70,14 @@ def test_gen_grid_and_inventory(tmp_path):
     assert read_dataset(inv).task.kind == "inventory"
 
 
+def test_gen_negative_length_weight_is_a_data_error(tmp_path, capsys):
+    out = tmp_path / "g.plds"
+    assert run_cli(["gen", "--family", "grid", "--p", "3", "--instances", "4",
+                    "--length-weight", "-0.5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: task param 'length_weight' must be nonnegative, got -0.5\n"
+    assert not out.exists()
+
+
 def test_dist_self_is_zero(tmp_path, capsys):
     path = gen_topk_file(tmp_path, "a.plds", 0.3, 1)
     assert run_cli(["dist", str(path), str(path)]) == 0

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from _reference import component_matrices_by_row
-from ptodist.datagen import PtODataset, Sample, gen_grid, gen_inventory, gen_topk
+from ptodist import ground_cost
+from ptodist.datagen import PtODataset, gen_grid, gen_inventory, gen_topk
 from ptodist.ground_cost import (
     GroundCostWeights,
     _components,
@@ -40,13 +41,6 @@ def topk_dataset(rng, task, size):
 def pair_cost(d, d_prime, w, mode="as-written"):
     """The ground cost between two one-sample datasets: their 1 x 1 cost matrix."""
     return float(pairwise_cost_matrix(d, d_prime, w, mode).entries[0, 0])
-
-
-def test_sample_validation():
-    with pytest.raises(ValueError):
-        Sample(x=np.array([]), y=np.array([1.0]), z=np.array([1.0]))
-    with pytest.raises(ValueError):
-        Sample(x=np.array([[1.0]]), y=np.array([1.0]), z=np.array([1.0]))
 
 
 def test_weights_validation():
@@ -277,7 +271,7 @@ def test_distance_symmetry_in_symmetrized_mode():
     assert abs(ab - ba) < 1e-9
 
 
-def test_distance_nonnegative_and_solver_agreement():
+def test_distance_nonnegative_and_solver_agreement(monkeypatch):
     d_a = gen_topk(0.0, n_resources=5, n_instances=6, seed=1)
     d_b = gen_topk(1.0, n_resources=5, n_instances=6, seed=2)
     w = GroundCostWeights(0.5, 0.25, 0.25)
@@ -285,8 +279,15 @@ def test_distance_nonnegative_and_solver_agreement():
     sink = decision_aware_distance(d_a, d_b, w, solver="sinkhorn", epsilon=0.01)
     assert exact >= 0.0
     assert sink >= exact - 1e-9
-    with pytest.raises(ValueError, match="solver"):
+
+    # another solver name is rejected before any cost is built
+    def no_cost(*args):
+        raise AssertionError("a cost was built")
+
+    monkeypatch.setattr(ground_cost, "component_matrices", no_cost)
+    with pytest.raises(ValueError) as info:
         decision_aware_distance(d_a, d_b, w, solver="other")
+    assert str(info.value) == "solver must be 'exact' or 'sinkhorn', got 'other'"
 
 
 def test_distance_rejects_task_mismatch():

@@ -173,6 +173,8 @@ def test_nonfinite_task_values_are_rejected_at_construction(build, message):
     (lambda: shortest_path_task(3, neighborhood=8.0), "task param 'neighborhood' must be an integer, got 8.0"),
     (lambda: shortest_path_task(3, length_weight="1"), "task param 'length_weight' must be a number, got '1'"),
     (lambda: shortest_path_task(3, length_weight=False), "task param 'length_weight' must be a number, got False"),
+    # it is added to every cell cost, which must not be negative
+    (lambda: shortest_path_task(3, length_weight=-2.0), "task param 'length_weight' must be nonnegative, got -2.0"),
     (lambda: TaskDefinition("inventory", {"demand_values": (1.0, "2"), "inventory_params": InventoryParams()}),
      "task param 'demand_values' must be a list of numbers, got (1.0, '2')"),
     (lambda: TaskDefinition("inventory", {"demand_values": (1.0, 2.0), "inventory_params": {"c0": 1.0}}),
@@ -567,9 +569,6 @@ def test_shortest_path_oracle_rejects_negative_costs():
     y[5] = -4.0
     with pytest.raises(NegativeCostError, match=r"-4\.0 .*cell 5"):
         oracle_row(shortest_path_task(3), y)
-    # the length weight counts: label 1 with weight -2 is a cost of -1
-    with pytest.raises(NegativeCostError, match=r"row 1"):
-        oracle_batch(shortest_path_task(3, length_weight=-2.0), np.array([np.full(9, 3.0), np.ones(9)]))
     # zero costs are allowed
     assert feasible(shortest_path_task(3), oracle_row(shortest_path_task(3), np.zeros(9)))
 

@@ -1,17 +1,13 @@
 """Tests for training, transferability, weight sweeps, and the bound check."""
 
 import dataclasses
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from _reference import (
-    pooled_cost_broadcast,
-    pooled_distance_broadcast,
-    random_coupling,
-    replicated_assignment_value,
-)
+from _reference import pooled_distance_broadcast, random_coupling
 from ptodist import datagen, transfer
 from ptodist.datagen import PtODataset, gen_grid, gen_inventory, gen_topk, score_probs
 from ptodist.ground_cost import GroundCostWeights, decision_aware_distance, pairwise_cost_matrix
@@ -251,8 +247,7 @@ def test_feature_label_pooled_distance_basics():
     assert feature_label_pooled_distances([], a) == []
 
 
-@pytest.mark.parametrize("alphas", [(0.5, 0.5), (1.0, 0.0), (0.2, 0.7), (3.0, 0.25)])
-def test_feature_label_pooled_distance_matches_broadcast_reference(alphas):
+def test_feature_label_pooled_distance_matches_broadcast_reference():
     families = [
         ([gen_topk(g, n_instances=12, seed=s) for g, s in ((0.0, 1), (1.2, 3), (0.3, 4))],
          gen_topk(0.65, n_instances=12, seed=2)),
@@ -260,34 +255,26 @@ def test_feature_label_pooled_distance_matches_broadcast_reference(alphas):
     ]
     for sources, target in families:
         for batch in (1, 2, 3):
-            got = feature_label_pooled_distances(sources[:batch], target, *alphas)
-            assert got == [pooled_distance_broadcast(s, target, *alphas) for s in sources[:batch]]
+            got = feature_label_pooled_distances(sources[:batch], target)
+            assert got == [pooled_distance_broadcast(s, target, 0.5, 0.5) for s in sources[:batch]]
 
 
-@pytest.mark.parametrize("alphas", [(-0.1, 0.5), (0.5, -0.1), (np.nan, 0.5), (0.5, np.inf), (np.inf, 0.5)])
-def test_feature_label_pooled_distances_reject_bad_weights(alphas):
-    # the cost they weight is rejected: negative or not finite
-    a = gen_topk(0.0, n_resources=5, n_instances=4, seed=1)
-    with pytest.raises(ValueError, match="cost matrix entries must be"), np.errstate(invalid="ignore"):
-        feature_label_pooled_distances([a], a, *alphas)
-
-
-def test_feature_label_pooled_distances_unequal_sizes_take_the_lp(monkeypatch):
+def test_feature_label_pooled_distances_need_equal_pooled_sizes(monkeypatch):
+    # another pooled size is rejected before any cost is built or thread started
     target = gen_topk(0.65, n_resources=5, n_instances=6, seed=2)
     sources = [gen_topk(0.0, n_resources=5, n_instances=6, seed=1),
                gen_topk(1.2, n_resources=5, n_instances=4, seed=3)]
-    shapes = []
 
-    def counting_solve_exact(cost, a, b):
-        shapes.append(cost.entries.shape)
-        return solve_exact(cost, a, b)
+    def no_cost(*args):
+        raise AssertionError("a pooled cost was built")
 
-    monkeypatch.setattr(transfer, "solve_exact", counting_solve_exact)
-    square, unequal = feature_label_pooled_distances(sources, target)
-    assert shapes == [(20, 30)]
-    assert square == pooled_distance_broadcast(sources[0], target, 0.5, 0.5)
-    ref = replicated_assignment_value(pooled_cost_broadcast(sources[1], target, 0.5, 0.5))
-    assert abs(unequal - ref) <= 1e-9 * ref
+    monkeypatch.setattr(transfer, "_pooled_cost", no_cost)
+    threads = threading.active_count()
+    with pytest.raises(ValueError) as info:
+        feature_label_pooled_distances(sources, target)
+    assert str(info.value) == ("pooled feature-label distance needs equal pooled sizes, "
+                               "got a source of 20 against a target of 30")
+    assert threading.active_count() == threads
 
 
 def test_feature_label_pooled_distance_peak_memory():

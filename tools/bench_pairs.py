@@ -14,6 +14,15 @@ quartiles (inclusive method), the change-to-parent ratio of the medians,
 the number of pairs in which the change reads lower (ties count for neither)
 and whether the gain rule holds: the change lower in at least nine tenths of
 the pairs, and the medians further apart than the parent's quartiles.
+
+Each metric also gets a verdict under its ``bound`` in ``BENCHMARK.json``
+(every metric there is better lower): ``worse`` when the change's median is
+above the parent's by more than the bound (a fraction of the parent's
+median); else ``unresolved`` when the parent's quartiles are further apart
+than the bound, again as a fraction of its median, and not every change run
+is below every parent run; else ``better`` when the gain rule holds, and
+``unchanged`` otherwise. ``failed_share_grew`` tells whether the change
+failed a larger share of its operations than the parent.
 """
 
 from __future__ import annotations
@@ -30,7 +39,10 @@ from pathlib import Path
 import numpy
 import scipy
 
-METRICS = ("setup_s", "run_s", "op_p50_ms", "peak_rss_mb")
+# the end-to-end metrics and their bounds, as the benchmark declares them
+BOUNDS = {m["name"]: m["bound"] for m in json.loads(
+    (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]}
+METRICS = tuple(BOUNDS)
 
 
 def run_bench(tree, workload, seed, seconds):
@@ -50,16 +62,27 @@ def summarize(runs):
         p1, p_med, p3 = statistics.quantiles(parent, n=4, method="inclusive")
         c1, c_med, c3 = statistics.quantiles(change, n=4, method="inclusive")
         wins = sum(c < p for p, c in zip(parent, change))
+        gain = wins >= 0.9 * len(runs) and p_med - c_med > p3 - p1
+        bound = BOUNDS[m]
+        if c_med > p_med * (1 + bound):
+            verdict = "worse"
+        elif p3 - p1 > bound * p_med and max(change) >= min(parent):
+            verdict = "unresolved"
+        else:
+            verdict = "better" if gain else "unchanged"
         summary[m] = {
             "parent_median": round(p_med, 4), "parent_iqr": [round(p1, 4), round(p3, 4)],
             "change_median": round(c_med, 4), "change_iqr": [round(c1, 4), round(c3, 4)],
             "ratio": round(c_med / p_med, 3), "change_better_in": wins,
-            "gain_rule_met": wins >= 0.9 * len(runs) and p_med - c_med > p3 - p1,
+            "gain_rule_met": gain, "bound": bound, "verdict": verdict,
         }
+    shares = {}
     for side in ("parent", "change"):
         failed = sum(r[side]["failed"] for r in runs.values())
         attempted = sum(r[side]["attempted"] for r in runs.values())
         summary.setdefault("failed_ops", {})[side] = f"{failed} of {attempted}"
+        shares[side] = failed / attempted if attempted else 0.0
+    summary["failed_share_grew"] = shares["change"] > shares["parent"]
     summary["all_correct"] = all(r[s]["correct"] for r in runs.values() for s in ("parent", "change"))
     summary["runs"] = runs
     return summary
