@@ -119,8 +119,8 @@ def cmd_dist(args) -> int:
     if args.breakdown:
         # one row per pair (i, j), i-major; totals are the entries of the
         # cost matrix the distance was solved on
-        terms = (*ground_cost.component_matrices(a, b, args.mode),
-                 ground_cost.pairwise_cost_matrix(a, b, w, args.mode).entries)
+        terms = ground_cost.component_matrices(a, b, args.mode)
+        terms += (ground_cost._weighted(w, *terms),)
         i, j = np.indices(terms[0].shape).reshape(2, -1).tolist()
         _write_csv(
             args.breakdown,
@@ -253,11 +253,7 @@ def cmd_repro(args) -> int:
     d_a = datagen.gen_topk(0.0, n_instances=n_instances, seed=seed + 1)
     d_b = datagen.gen_topk(1.2, n_instances=n_instances, seed=seed + 2)
     d_c = datagen.gen_topk(0.65, n_instances=n_instances, seed=seed + 3)
-    # the pooled baseline's assignments run beside everything else; scipy.optimize
-    # is imported first, since a worker importing it while this thread imports
-    # its HiGHS module can deadlock the import lock
-    import scipy.optimize  # noqa: F401
-
+    # the pooled baseline's assignments run beside everything else
     with ThreadPoolExecutor(1) as pool:
         pooled = pool.submit(transfer.feature_label_pooled_distances, [d_a, d_b], d_c)
         # weight sweep over gamma-shifted sources onto d_c; its records carry the

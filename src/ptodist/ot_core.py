@@ -156,9 +156,6 @@ def _check_problem(cost: CostMatrix, a: Marginal, b: Marginal) -> None:
 
 def solve_exact(cost: CostMatrix, a: Marginal, b: Marginal) -> tuple[TransportPlan, float]:
     """Exact OT plan and cost, minimizing <plan, cost> over the coupling polytope."""
-    # imported here: scipy.optimize takes most of ``import ptodist``'s time
-    from scipy.optimize._highspy import _core
-
     _check_problem(cost, a, b)
     C = cost.entries
     n, m = C.shape
@@ -175,6 +172,13 @@ def solve_exact(cost: CostMatrix, a: Marginal, b: Marginal) -> tuple[TransportPl
         P = C.copy(order="K")
         value = _assign(P)
         return TransportPlan(P, a, b), value
+
+    # imported here: scipy.optimize takes most of ``import ptodist``'s time.
+    # The package first: importing the submodule first holds its import lock
+    # while the package's __init__ runs, and another thread running that
+    # __init__ (for linear_sum_assignment) needs the submodule: a deadlock
+    import scipy.optimize  # noqa: F401
+    from scipy.optimize._highspy import _core
 
     # general marginals: linear program on the row-major flattened coupling,
     # one equation per row sum and per column sum but the last (redundant).

@@ -294,9 +294,7 @@ def feature_label_pooled_distances(sources: list[PtODataset], target: PtODataset
     built on two threads, the costs landed in per-thread malloc arenas and
     raised peak memory by up to 13 MB. Each is then solved on its own thread in
     the array that held it. ``repro`` calls this on a worker thread beside the
-    rest of its pipeline (+1.4 MB of peak memory), after importing
-    ``scipy.optimize`` on its own thread: two threads first importing it at
-    once can deadlock on Python's import lock.
+    rest of its pipeline (+1.4 MB of peak memory).
     """
     size = target.X.size
     for d in (target, *sources):
@@ -330,21 +328,6 @@ def _scaled_abs_diff(u, v, scale):
     return D
 
 
-def _phi(plan, mass, gaps, dx, lam):
-    """The mass fraction of coupled pairs violating the lambda-Lipschitz
-    condition gap <= lambda * dx, from the arrays of :func:`_coupled_gaps`."""
-    viol = mass[gaps > lam * dx + 1e-12].sum()
-    return float(min(max(viol / plan.matrix.sum(), 0.0), 1.0))
-
-
-def _coupled_gaps(plan, pred_a, pred_b, X_a, X_b):
-    """Over the plan's nonzero entries (i, j): the mass, |pred_a_i - pred_b_j| and |x_i - x'_j|."""
-    I, J = np.nonzero(plan.matrix > 0)
-    gaps = np.linalg.norm(pred_a[I] - pred_b[J], axis=1)
-    dx = np.linalg.norm(X_a[I] - X_b[J], axis=1)
-    return plan.matrix[I, J], gaps, dx
-
-
 LIPSCHITZ_SAFETY = 1.5
 
 
@@ -372,9 +355,9 @@ def evaluate_bound(
     Target rows take the decisions induced by the model's predictions, source
     rows the oracle decisions for their labels; the OT problem uses the weight
     normalization alpha_W = 1 / (lambda*k1 + k2 + 1). The envelope L is the
-    largest prediction gap of ``f_tilde`` over coupled pairs; it and phi come
-    from one pass over the plan's coupled pairs. ``lam``, ``k1`` and ``k2``
-    must be positive and finite.
+    largest prediction gap of ``f_tilde`` over coupled pairs, and phi the
+    mass fraction of coupled pairs whose gap exceeds lambda times their
+    feature distance. ``lam``, ``k1`` and ``k2`` must be positive and finite.
     """
     (report,) = _bound_reports(task, f, f_tilde, source, target, [lam], k1, k2)
     return report
@@ -382,10 +365,12 @@ def evaluate_bound(
 
 def _bound_reports(task, f, f_tilde, source, target, lams, k1, k2) -> list[BoundReport]:
     """:func:`evaluate_bound` at each lambda of ``lams``. The predictions, the
-    decisions, the component matrices and the three regrets do not depend on
-    lambda and are computed once: one oracle call decides the predictions of
-    ``f`` on the target and of ``f_tilde`` on both datasets (rows are
-    independent), and the source keeps its own oracle decisions."""
+    decisions, the component matrices, the prediction gaps and the three
+    regrets do not depend on lambda and are computed once: one oracle call
+    decides the predictions of ``f`` on the target and of ``f_tilde`` on both
+    datasets (rows are independent), and the source keeps its own oracle
+    decisions. Per lambda, the coupled pairs' masses, gaps and feature
+    distances are slices of the plan, G and F."""
     for name, value in [*(("lambda", lam) for lam in lams), ("k1", k1), ("k2", k2)]:
         if not 0 < value < np.inf:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
@@ -399,6 +384,7 @@ def _bound_reports(task, f, f_tilde, source, target, lams, k1, k2) -> list[Bound
     # As-written mode scores both decisions under the source labels.
     F, L, W = _components(task, target.X, target.Y, z_t, source.X, source.Y, source.optimal_decisions(),
                           "as-written")
+    G = np.linalg.norm(pred_t[:, None, :] - pred_s[None, :, :], axis=2)  # f_tilde's prediction gaps
     regrets = {"lhs": float(_regret_means(task, z_t, target)),
                "joint_regret_source": float(_regret_means(task, z_tilde_s, source)),
                "joint_regret_target": float(_regret_means(task, z_tilde_t, target))}
@@ -408,9 +394,11 @@ def _bound_reports(task, f, f_tilde, source, target, lams, k1, k2) -> list[Bound
         weights = GroundCostWeights(lam * k1 * alpha_w, k2 * alpha_w, alpha_w)
         plan, d_ot = solve_exact(CostMatrix(_weighted(weights, F, L, W)),
                                  Marginal.uniform(len(target)), Marginal.uniform(len(source)))
-        mass, gaps, dx = _coupled_gaps(plan, pred_t, pred_s, target.X, source.X)
+        coupled = plan.matrix > 0
+        mass, gaps = plan.matrix[coupled], G[coupled]
         big_l = float(gaps.max())
-        phi = _phi(plan, mass, gaps, dx, lam)
+        # the mass fraction of coupled pairs violating gap <= lambda * |x_i - x'_j|
+        phi = float(min(max(mass[gaps > lam * F[coupled] + 1e-12].sum() / plan.matrix.sum(), 0.0), 1.0))
         reports.append(BoundReport(
             **regrets,
             lipschitz_term=k1 * big_l * phi,

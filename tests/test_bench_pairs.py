@@ -57,3 +57,36 @@ def test_failed_share(failed, grew):
     summary = bench_pairs.summarize(make_runs(TIGHT, TIGHT, failed))
     assert summary["failed_share_grew"] is grew
     assert summary["failed_ops"] == {"parent": f"{10 * failed[0]} of 100", "change": f"{10 * failed[1]} of 100"}
+
+
+def make_tree(root, files):
+    for name, text in files.items():
+        path = root / "bench" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    return root
+
+
+BENCH_FILES = {"run.py": "run\n", "worker.py": "worker\n", "out/last.json": "{}\n"}
+
+
+@pytest.mark.parametrize("edit, differing", [
+    ({}, []),
+    ({"worker.py": "worker, edited\n"}, ["worker.py"]),
+    ({"extra.py": "new\n"}, ["extra.py"]),
+    ({"out/last.json": "[]\n", "out/more.json": "{}\n"}, []),  # run outputs are not bench code
+])
+def test_trees_must_hold_the_same_bench_files(tmp_path, monkeypatch, edit, differing):
+    parent = make_tree(tmp_path / "parent", BENCH_FILES)
+    change = make_tree(tmp_path / "change", {**BENCH_FILES, **edit})
+    assert bench_pairs.differing_bench_files(parent, change) == differing
+    assert bench_pairs.differing_bench_files(change, parent) == differing
+    if differing:
+        def no_run(*args):
+            raise AssertionError("a run started")
+        monkeypatch.setattr(bench_pairs, "run_bench", no_run)
+        out = tmp_path / "BENCH.json"
+        argv = ["--parent", str(parent), "--change", str(change), "--workload", "bound", "--pairs", "1",
+                "--first-seed", "1", "--out", str(out), "--describe", "d", "--claim", "c"]
+        assert bench_pairs.main(argv) == 2
+        assert not out.exists()

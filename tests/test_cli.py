@@ -5,9 +5,6 @@ import csv
 import hashlib
 import io
 import json
-import os
-import subprocess
-import sys
 import threading
 
 import numpy as np
@@ -15,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ptodist
 from ptodist import cli, transfer
 from ptodist.datagen import read_dataset
 from ptodist.ground_cost import GroundCostWeights, pairwise_cost_matrix
@@ -420,35 +416,6 @@ def test_repro_command_small_config(tmp_path):
                  "weight_sweep.csv", "sweep_transferability.csv", "target_shift_grid.csv"):
         assert (out_dir / name).exists(), name
     assert len(read_rows(out_dir / "weight_sweep.csv")) == 6
-
-
-def test_repro_imports_scipy_optimize_before_any_thread_starts(tmp_path):
-    # a worker's first scipy.optimize import racing this thread's first HiGHS
-    # import can deadlock the import lock; the race is timing-dependent, the
-    # import order is not
-    (tmp_path / "cfg.txt").write_text(SMALL_REPRO)
-    code = """if True:
-        import json, sys
-        from concurrent.futures import ThreadPoolExecutor
-        from ptodist import cli
-        loaded = []
-        submit = ThreadPoolExecutor.submit
-        def spy(pool, fn, *args, **kwargs):
-            loaded.append("scipy.optimize._highspy._core" in sys.modules)
-            return submit(pool, fn, *args, **kwargs)
-        ThreadPoolExecutor.submit = spy
-        code = cli.main(["repro", "--config", "cfg.txt", "--out-dir", "out"])
-        print(json.dumps([code, loaded]))
-    """
-    env = os.environ.copy()
-    pkg_parent = os.path.dirname(os.path.dirname(os.path.abspath(ptodist.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_parent, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    code, loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert code == 0
-    assert loaded and all(loaded), loaded
 
 
 def _raise(exc):

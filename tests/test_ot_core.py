@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -446,6 +447,38 @@ def test_import_does_not_load_scipy_optimize():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("shape, imports", [
+    ((3, 4), ["scipy.optimize", "scipy.optimize._highspy"]),  # the LP
+    ((3, 3), ["scipy.optimize"]),  # the assignment needs no HiGHS
+], ids=["lp", "assignment"])
+def test_first_exact_solve_imports_the_scipy_optimize_package_first(shape, imports):
+    # a thread importing scipy.optimize's HiGHS submodule before the package
+    # holds the submodule's import lock while it runs the package's __init__,
+    # which another thread importing linear_sum_assignment at once may be
+    # running and which needs that submodule: the two threads deadlock
+    code = f"""if True:
+        import builtins, json
+        import numpy as np
+        from ptodist.ot_core import CostMatrix, Marginal, solve_exact
+        imports = []
+        real_import = builtins.__import__
+        def spy(name, globals=None, *args):
+            if name.startswith("scipy") and (globals or {{}}).get("__name__", "").startswith("ptodist"):
+                imports.append(name)
+            return real_import(name, globals, *args)
+        builtins.__import__ = spy
+        n, m = {shape}
+        solve_exact(CostMatrix(np.ones((n, m))), Marginal.uniform(n), Marginal.uniform(m))
+        print(json.dumps(imports))
+    """
+    env = os.environ.copy()
+    pkg_parent = os.path.dirname(os.path.dirname(os.path.abspath(ptodist.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_parent, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == imports
 
 
 def test_random_coupling_has_valid_marginals():

@@ -298,8 +298,12 @@ def test_feature_label_pooled_distance_peak_memory():
 def estimate_phi(task, f, plan, dataset_a, dataset_b, lam):
     """The bound's phi: the mass fraction of coupled pairs whose predictions
     under ``f`` differ by more than lambda times their feature distance."""
+    I, J = np.nonzero(plan.matrix > 0)
     pred_a, pred_b = (predict_rows(task, f.theta, d.X) for d in (dataset_a, dataset_b))
-    return transfer._phi(plan, *transfer._coupled_gaps(plan, pred_a, pred_b, dataset_a.X, dataset_b.X), lam)
+    gaps = np.linalg.norm(pred_a[I] - pred_b[J], axis=1)
+    dx = np.linalg.norm(dataset_a.X[I] - dataset_b.X[J], axis=1)
+    violating = plan.matrix[I, J][gaps > lam * dx + 1e-12].sum()
+    return float(min(max(violating / plan.matrix.sum(), 0.0), 1.0))
 
 
 def test_estimate_phi_properties():

@@ -7,7 +7,9 @@
 Each pair runs ``bench/run.py`` once in each tree, at one seed per pair
 (``--first-seed`` + pair index), one process at a time; the parent runs first
 in odd pairs and the change first in even ones. Each tree runs its own
-``bench/`` on its own ``src/``, so both sides must hold the same bench code.
+``bench/`` on its own ``src/``, so both sides must hold the same bench code:
+two trees whose ``bench/`` files differ (by sha256; ``bench/out/`` and
+``__pycache__`` are left out) are refused before any run.
 The workload's section of ``--out`` is replaced (other workloads are kept):
 every run's end-to-end metrics, and per metric each side's median and
 quartiles (inclusive method), the change-to-parent ratio of the medians,
@@ -28,6 +30,7 @@ failed a larger share of its operations than the parent.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -43,6 +46,18 @@ import scipy
 BOUNDS = {m["name"]: m["bound"] for m in json.loads(
     (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]}
 METRICS = tuple(BOUNDS)
+
+
+def differing_bench_files(parent, change):
+    """The files under ``bench/`` that the two trees do not hold alike, by
+    sha256, sorted; ``bench/out/`` and ``__pycache__`` are left out."""
+    def digests(tree):
+        bench = Path(tree) / "bench"
+        rels = (p.relative_to(bench) for p in bench.rglob("*") if p.is_file())
+        return {rel.as_posix(): hashlib.sha256((bench / rel).read_bytes()).hexdigest()
+                for rel in rels if rel.parts[0] != "out" and "__pycache__" not in rel.parts}
+    a, b = digests(parent), digests(change)
+    return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
 
 
 def run_bench(tree, workload, seed, seconds):
@@ -101,6 +116,10 @@ def main(argv=None) -> int:
     p.add_argument("--claim", required=True, help="which metrics should move, and which should not")
     args = p.parse_args(argv)
 
+    differing = differing_bench_files(args.parent, args.change)
+    if differing:
+        print(f"bench_pairs: the trees' bench/ files differ: {', '.join(differing)}", file=sys.stderr)
+        return 2
     trees = {"parent": args.parent, "change": args.change}
     runs = {}
     for pair in range(1, args.pairs + 1):
