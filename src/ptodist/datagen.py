@@ -287,10 +287,14 @@ def write_dataset(dataset: PtODataset, path) -> None:
 def read_dataset(path) -> PtODataset:
     """Read a dataset file written by :func:`write_dataset`; bit-exact round trip.
 
-    A malformed or invalid file raises :class:`DatasetFormatError` naming the line.
+    A malformed or invalid file raises :class:`DatasetFormatError` naming the line,
+    and one that is not UTF-8 text raises it naming the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise DatasetFormatError(f"{path}: not UTF-8 text: {exc}") from None
     if not lines:
         raise DatasetFormatError(f"{path}: empty file, expected a header record on line 1")
     try:

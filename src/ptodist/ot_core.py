@@ -46,6 +46,10 @@ class SinkhornConvergenceError(ArithmeticError):
     """Sinkhorn scaling stopped before its marginal violation fell below tol."""
 
 
+class LinearProgramError(ArithmeticError):
+    """HiGHS stopped the exact OT linear program without an optimal solution."""
+
+
 @dataclass(frozen=True)
 class CostMatrix:
     entries: np.ndarray
@@ -61,14 +65,6 @@ class CostMatrix:
         if lo < 0:
             raise ValueError("cost matrix entries must be nonnegative")
         object.__setattr__(self, "entries", entries)
-
-    @property
-    def n_rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.entries.shape[1]
 
 
 @dataclass(frozen=True)
@@ -144,7 +140,7 @@ def transport_cost(plan: TransportPlan, cost: CostMatrix) -> float:
 
 
 def _check_problem(cost: CostMatrix, a: Marginal, b: Marginal) -> None:
-    if len(a) != cost.n_rows or len(b) != cost.n_cols:
+    if (len(a), len(b)) != cost.entries.shape:
         raise DimensionMismatchError(
             f"cost shape {cost.entries.shape} vs marginals ({len(a)}, {len(b)})"
         )
@@ -181,17 +177,12 @@ def solve_exact(cost: CostMatrix, a: Marginal, b: Marginal) -> tuple[TransportPl
     from scipy.optimize._highspy import _core
 
     # general marginals: linear program on the row-major flattened coupling,
-    # one equation per row sum and per column sum but the last (redundant).
-    # Column i*m + k of the constraint matrix (CSC) has a 1 in row i and,
-    # for k < m - 1, in row n + k
-    flat = np.arange(n * m)
-    col = flat % m
-    kept = col < m - 1
-    start = np.zeros(n * m + 1, dtype=np.int32)
-    np.cumsum(1 + kept, out=start[1:])
-    index = np.empty(start[-1], dtype=np.int32)
-    index[start[:-1]] = flat // m
-    index[start[:-1][kept] + 1] = n + col[kept]
+    # one equation per row sum and per column sum but the last (redundant),
+    # passed row-wise: row i holds columns i*m .. i*m + m - 1, row n + k the
+    # columns k + i*m. HiGHS stores it column-wise, each column's rows in order
+    index = np.concatenate([np.arange(n * m), (np.arange(m - 1)[:, None] + m * np.arange(n)).ravel()],
+                           dtype=np.int32)
+    start = np.concatenate([m * np.arange(n), n * m + n * np.arange(m)], dtype=np.int32)
     b_eq = np.concatenate([a.weights, b.weights[:-1]])
     highs = _core._Highs()
     for key, value in _HIGHS_OPTIONS.items():
@@ -199,14 +190,14 @@ def solve_exact(cost: CostMatrix, a: Marginal, b: Marginal) -> tuple[TransportPl
     # the array form of passModel reads the arrays' buffers, where setting
     # HighsLp's fields converts them element by element. Integrality 0 is
     # continuous
-    highs.passModel(n * m, n + m - 1, int(start[-1]), int(_core.MatrixFormat.kColwise),
+    highs.passModel(n * m, n + m - 1, index.size, int(_core.MatrixFormat.kRowwise),
                     int(_core.ObjSense.kMinimize), 0.0, C.ravel(), np.zeros(n * m),
-                    np.full(n * m, np.inf), b_eq, b_eq, start, index, np.ones(start[-1]),
-                    np.zeros(n * m, dtype=np.int32))
+                    np.full(n * m, np.inf), b_eq, b_eq, start, index,
+                    np.ones(index.size), np.zeros(n * m, dtype=np.int32))
     highs.run()
     status = highs.getModelStatus()
     if status != _core.HighsModelStatus.kOptimal:
-        raise RuntimeError(f"exact OT linear program failed: {highs.modelStatusToString(status)}")
+        raise LinearProgramError(f"exact OT linear program failed: {highs.modelStatusToString(status)}")
     P = np.array(highs.getSolution().col_value).reshape(n, m)
     P = np.maximum(P, 0.0)
     plan = TransportPlan(P, a, b)
@@ -299,48 +290,43 @@ def _sinkhorn(C, a, b, epsilon, max_iter, tol):
     The first half step always runs in the log domain.
 
     The scaling runs in blocks that end where the violation is checked,
-    every CHECK_EVERY iterations and at max_iter. A block's half steps 2r and
-    2r + 1 write the u and v of its iteration r + 1 to U[r] and V[r], and the
-    bounds are checked once, on all of the block's rows. A block in bounds
-    has the iterates of a check after every half step. Otherwise the first
-    half step out of bounds is absorbed instead, which leaves u = v = 1, and
-    the block resumes after it.
+    every CHECK_EVERY iterations and at max_iter. A block first runs into
+    the buffers U and V with the bounds unchecked, then checks them once, on
+    all of its scalings. A block that left them, and the first block, which
+    has no K yet, run again from their start with the bounds checked after
+    every half step, so the iterates are always those of that checked loop.
     """
     n, m = C.shape
     log_a, log_b = np.log(a), np.log(b)
-    f, g = np.zeros(n), np.zeros(m)
-    U, V = np.empty((CHECK_EVERY, n)), np.ones((CHECK_EVERY, m))
+    f, g, K = np.zeros(n), np.zeros(m), None
+    u, v = np.ones(n), np.ones(m)
+    U, V = np.empty((CHECK_EVERY, n)), np.empty((CHECK_EVERY, m))
     done = 0   # iterations before the block
-    bad = 0    # the block's half step to absorb
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while True:
             end = min(CHECK_EVERY, max_iter - done)   # iterations in the block
-            v_in = V[-1].copy()   # the v before the block; its last half step overwrites V[-1]
-            start = 0             # first half step to compute
-            while True:
-                if bad is not None:
-                    r = bad // 2
-                    if bad % 2:
-                        f += epsilon * np.log(U[r])
-                        g = _log_scaling(C.T, log_b, f, epsilon)
-                    else:
-                        g += epsilon * np.log(V[r - 1] if r else v_in)
-                        f = _log_scaling(C, log_a, g, epsilon)
-                    K = np.exp((f[:, None] + g[None, :] - C) / epsilon)
-                    U[r] = V[r] = 1.0
-                    start, bad = bad + 1, None
-                first = start // 2
-                if start % 2:
-                    np.divide(b, K.T @ U[first], out=V[first])
-                for r in range(first + start % 2, end):
-                    np.divide(a, K @ V[r - 1], out=U[r])
+            if K is not None:
+                for r in range(end):
+                    np.divide(a, K @ (V[r - 1] if r else v), out=U[r])
                     np.divide(b, K.T @ U[r], out=V[r])
-                rows = slice(first, end)
-                if start == 2 * end or (_in_bounds(U[rows]) and _in_bounds(V[rows])):
-                    break
-                bad = next(h for h in range(start, 2 * end)
-                           if not _in_bounds((V if h % 2 else U)[h // 2]))
-            u, v = U[end - 1], V[end - 1]
+            if K is not None and _in_bounds(U[:end]) and _in_bounds(V[:end]):
+                # copies: the next block overwrites U and V, and may run again from u and v
+                u, v = U[end - 1].copy(), V[end - 1].copy()
+            else:
+                for _ in range(end):
+                    if K is not None:
+                        u = a / (K @ v)
+                    if K is None or not _in_bounds(u):
+                        g += epsilon * np.log(v)
+                        f = _log_scaling(C, log_a, g, epsilon)
+                        K = np.exp((f[:, None] + g[None, :] - C) / epsilon)
+                        u = np.ones(n)
+                    v = b / (K.T @ u)
+                    if not _in_bounds(v):
+                        f += epsilon * np.log(u)
+                        g = _log_scaling(C.T, log_b, f, epsilon)
+                        K = np.exp((f[:, None] + g[None, :] - C) / epsilon)
+                        u, v = np.ones(n), np.ones(m)
             done += end
             violation = np.abs(u * (K @ v) - a).max()
             if violation < tol or done == max_iter:

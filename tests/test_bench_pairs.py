@@ -86,7 +86,22 @@ def test_trees_must_hold_the_same_bench_files(tmp_path, monkeypatch, edit, diffe
             raise AssertionError("a run started")
         monkeypatch.setattr(bench_pairs, "run_bench", no_run)
         out = tmp_path / "BENCH.json"
-        argv = ["--parent", str(parent), "--change", str(change), "--workload", "bound", "--pairs", "1",
+        argv = ["--parent", str(parent), "--change", str(change), "--workload", "bound", "--pairs", "2",
                 "--first-seed", "1", "--out", str(out), "--describe", "d", "--claim", "c"]
         assert bench_pairs.main(argv) == 2
         assert not out.exists()
+
+
+@pytest.mark.parametrize("pairs", ["1", "0", "-3"])
+def test_fewer_than_two_pairs_is_a_usage_error(tmp_path, monkeypatch, capsys, pairs):
+    def no_run(*args):
+        raise AssertionError("a run started")
+    monkeypatch.setattr(bench_pairs, "run_bench", no_run)
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(tmp_path), "--change", str(tmp_path), "--workload", "bound", "--pairs", pairs,
+            "--first-seed", "1", "--out", str(out), "--describe", "d", "--claim", "c"]
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(argv)
+    assert exc.value.code == 2
+    assert f"--pairs: must be at least 2, got {int(pairs)}" in capsys.readouterr().err
+    assert not out.exists()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptodist import cli, transfer
+from ptodist import cli, ot_core, transfer
 from ptodist.datagen import read_dataset
 from ptodist.ground_cost import GroundCostWeights, pairwise_cost_matrix
 from ptodist.tasks import shortest_path_task
@@ -301,6 +301,50 @@ def test_missing_file_exit_code(tmp_path):
     assert run_cli(["dist", str(a), str(tmp_path / "nope.plds")]) == 2
 
 
+@pytest.mark.parametrize("command", ["dist", "transfer", "repro"])
+def test_a_directory_for_a_file_is_a_data_error(tmp_path, capsys, command):
+    a = str(gen_topk_file(tmp_path, "a.plds", 0.0, 1))
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = {"dist": ["dist", str(folder), a],
+            "transfer": ["transfer", "--source", a, "--target", a, "--budget", "10", "--out", str(folder)],
+            "repro": ["repro", "--config", str(folder), "--out-dir", str(tmp_path / "out")]}[command]
+    capsys.readouterr()
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(folder) in err
+    assert "Traceback" not in err
+
+
+def test_a_file_that_is_not_utf8_is_a_data_error_naming_it(tmp_path, capsys):
+    a = gen_topk_file(tmp_path, "a.plds", 0.0, 1)
+    binary = tmp_path / "binary.plds"
+    binary.write_bytes(b'{"task": "\xd0\x00\xff"}\n')
+    capsys.readouterr()
+    assert run_cli(["dist", str(binary), str(a)]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {binary}: not UTF-8 text: 'utf-8' codec ")
+
+
+def test_lp_failure_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    # with no time to run, HiGHS stops the unequal-size pair's LP unsolved
+    a = gen_topk_file(tmp_path, "a.plds", 0.0, 1, instances=8)
+    b = gen_topk_file(tmp_path, "b.plds", 1.0, 2, instances=6)
+    monkeypatch.setitem(ot_core._HIGHS_OPTIONS, "time_limit", 0.0)
+    capsys.readouterr()
+    assert run_cli(["dist", str(a), str(b)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "numerical failure: exact OT linear program failed: Time limit reached\n"
+    assert captured.out == ""
+
+
+def test_other_errors_are_not_reported_as_numerical_failure(tmp_path, capsys, monkeypatch):
+    a = gen_topk_file(tmp_path, "a.plds", 0.0, 1)
+    monkeypatch.setattr(cli, "decision_aware_distance", _raise(RuntimeError("not numerical")))
+    with pytest.raises(RuntimeError, match="not numerical"):
+        run_cli(["dist", str(a), str(a)])
+    assert "numerical failure" not in capsys.readouterr().err
+
+
 def test_transfer_command(tmp_path):
     a = gen_topk_file(tmp_path, "a.plds", 0.0, 1, resources=25)
     b = gen_topk_file(tmp_path, "b.plds", 1.2, 2, resources=25)
@@ -427,7 +471,7 @@ def _raise(exc):
 @pytest.mark.parametrize("patched, exc, exit_code", [
     (None, None, 0),
     ("weight_sweep", ValueError("sweep failed"), 2),
-    ("feature_label_pooled_distances", RuntimeError("pooled failed"), 3),
+    ("feature_label_pooled_distances", ArithmeticError("pooled failed"), 3),
 ])
 def test_repro_joins_its_threads_on_every_path(tmp_path, monkeypatch, patched, exc, exit_code):
     if patched:

@@ -419,9 +419,18 @@ def test_exact_lp_plan_matches_linprog_bit_for_bit():
          gen_inventory(6, theta_seed, n_instances=50, seed=7)),
         (gen_topk(0.3, n_instances=200, seed=8), gen_topk(0.9, n_instances=240, seed=9)),
     ]
+    problems = []
     for x, y in pairs:
         cost = pairwise_cost_matrix(x, y, GroundCostWeights(*rng.dirichlet(np.ones(3))))
-        a, b = Marginal.uniform(len(x)), Marginal.uniform(len(y))
+        problems.append((cost, Marginal.uniform(len(x)), Marginal.uniform(len(y))))
+    # edge shapes on random costs: one row, one column (no column-sum rows),
+    # and marginals off uniform, a square one among them
+    edge = np.random.default_rng(61)
+    for n, m, uniform in [(1, 5, True), (5, 1, True), (4, 4, False), (7, 3, False), (3, 2, False)]:
+        a, b = ((Marginal.uniform(n), Marginal.uniform(m)) if uniform else
+                (Marginal(edge.dirichlet(np.ones(n))), Marginal(edge.dirichlet(np.ones(m)))))
+        problems.append((CostMatrix(edge.uniform(0.0, 1.0, (n, m))), a, b))
+    for cost, a, b in problems:
         plan, _ = solve_exact(cost, a, b)
         assert plan.matrix.tobytes() == linprog_plan(cost.entries, a.weights, b.weights).tobytes()
 

@@ -115,6 +115,8 @@ def main(argv=None) -> int:
     p.add_argument("--describe", required=True, help="what the change does")
     p.add_argument("--claim", required=True, help="which metrics should move, and which should not")
     args = p.parse_args(argv)
+    if args.pairs < 2:  # the quartiles need two runs a side
+        p.error(f"argument --pairs: must be at least 2, got {args.pairs}")
 
     differing = differing_bench_files(args.parent, args.change)
     if differing:
