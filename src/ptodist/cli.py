@@ -53,10 +53,6 @@ def _positive_finite_list(text: str) -> list[float]:
     return [_positive_finite(item) for item in text.split(",")]
 
 
-def _weights_from_args(args) -> GroundCostWeights:
-    return GroundCostWeights(args.alpha_x, args.alpha_y, args.alpha_w)
-
-
 def _write_csv(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -111,7 +107,7 @@ def _read_same_task(paths) -> list[PtODataset]:
 
 def cmd_dist(args) -> int:
     a, b = _read_same_task([args.dataset_a, args.dataset_b])
-    w = _weights_from_args(args)
+    w = GroundCostWeights(args.alpha_x, args.alpha_y, args.alpha_w)
     value = decision_aware_distance(
         a, b, w, solver=args.solver, epsilon=args.epsilon, mode=args.mode
     )
@@ -132,7 +128,7 @@ def cmd_dist(args) -> int:
 
 def cmd_transfer(args) -> int:
     target, *sources = _read_same_task([args.target, *args.source])
-    w = _weights_from_args(args)
+    w = GroundCostWeights(args.alpha_x, args.alpha_y, args.alpha_w)
     records = transfer.transfer_records(target.task, sources, target, budget=args.budget, seed=args.seed)
     rows = []
     for path, source, rec in zip(args.source, sources, records):
@@ -212,18 +208,22 @@ def cmd_bound(args) -> int:
     return EXIT_OK if all_hold else EXIT_NUMERIC
 
 
-_REPRO_DEFAULTS = {"seed": 7, "budget": 3000, "resolution": 10, "instances": 50}
-_REPRO_MINIMA = {"seed": 0, "budget": 1, "resolution": 1, "instances": 1}
+# each setting of ``repro``: its default and its least value
+_REPRO_SETTINGS = {"seed": (7, 0), "budget": (3000, 1), "resolution": (10, 1), "instances": (50, 1)}
 
 
 def _read_config(path) -> dict:
     """The settings of ``repro``: the defaults, overridden by the integer
-    ``key=value`` lines of the config file at ``path``, each at least its
-    minimum."""
-    cfg = dict(_REPRO_DEFAULTS)
+    ``key=value`` lines of the UTF-8 config file at ``path``, each at least
+    its minimum."""
+    cfg = {key: default for key, (default, _) in _REPRO_SETTINGS.items()}
     if path is None:
         return cfg
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -232,13 +232,14 @@ def _read_config(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in cfg:
             raise DatasetFormatError(
-                f"{path}: line {lineno}: unknown key {key!r}; known keys are {', '.join(_REPRO_DEFAULTS)}")
+                f"{path}: line {lineno}: unknown key {key!r}; known keys are {', '.join(_REPRO_SETTINGS)}")
         try:
             cfg[key] = int(value)
         except ValueError:
             raise DatasetFormatError(f"{path}: line {lineno}: {key} must be an integer, got {value!r}") from None
-        if cfg[key] < _REPRO_MINIMA[key]:
-            raise DatasetFormatError(f"{path}: line {lineno}: {key} must be at least {_REPRO_MINIMA[key]}, got {value!r}")
+        least = _REPRO_SETTINGS[key][1]
+        if cfg[key] < least:
+            raise DatasetFormatError(f"{path}: line {lineno}: {key} must be at least {least}, got {value!r}")
     return cfg
 
 
@@ -253,7 +254,8 @@ def cmd_repro(args) -> int:
     d_a = datagen.gen_topk(0.0, n_instances=n_instances, seed=seed + 1)
     d_b = datagen.gen_topk(1.2, n_instances=n_instances, seed=seed + 2)
     d_c = datagen.gen_topk(0.65, n_instances=n_instances, seed=seed + 3)
-    # the pooled baseline's assignments run beside everything else
+    # the pooled baseline's assignments run beside everything else; the tables
+    # are written once all of them are computed, so a failure leaves none new
     with ThreadPoolExecutor(1) as pool:
         pooled = pool.submit(transfer.feature_label_pooled_distances, [d_a, d_b], d_c)
         # weight sweep over gamma-shifted sources onto d_c; its records carry the
@@ -269,32 +271,13 @@ def cmd_repro(args) -> int:
 
         theta_a = transfer.train_regret_min(task, d_a, budget=budget, seed=seed)
         theta_b = transfer.train_regret_min(task, d_b, budget=budget, seed=seed)
-        _write_csv(
-            out_dir / "motivating_regrets.csv",
-            ["model", "target_regret"],
-            [
-                ("trained_on_gamma_0.0", fmt(transfer.mean_regret(task, theta_a, d_c))),
-                ("trained_on_gamma_1.2", fmt(transfer.mean_regret(task, theta_b, d_c))),
-                ("trained_on_target", fmt(records[0].regret_target_on_target)),
-            ],
-        )
+        regret_rows = [
+            ("trained_on_gamma_0.0", fmt(transfer.mean_regret(task, theta_a, d_c))),
+            ("trained_on_gamma_1.2", fmt(transfer.mean_regret(task, theta_b, d_c))),
+            ("trained_on_target", fmt(records[0].regret_target_on_target)),
+        ]
         w_dec = GroundCostWeights(0.5, 0.0, 0.5)
         decision_ac, decision_bc = (decision_aware_distance(d, d_c, w_dec) for d in (d_a, d_b))
-
-        _write_csv(
-            out_dir / "weight_sweep.csv",
-            ["alpha_x", "alpha_y", "alpha_w", "r2"],
-            _sweep_rows(rows_out),
-        )
-        _write_csv(
-            out_dir / "sweep_transferability.csv",
-            ["gamma", "transferability", "regret_source_on_target", "regret_target_on_target"],
-            [
-                (fmt(g), fmt(r.transferability), fmt(r.regret_source_on_target),
-                 fmt(r.regret_target_on_target))
-                for g, r in zip(gammas, records)
-            ],
-        )
 
         # target-shift study on the grid task, with and without a path-length term
         grid_rows = []
@@ -315,17 +298,20 @@ def cmd_repro(args) -> int:
                      fmt(decision_aware_distance(src, tgt, w_fl)),
                      fmt(decision_aware_distance(src, tgt, w_third)))
                 )
-        _write_csv(
-            out_dir / "target_shift_grid.csv",
-            ["task_variant", "shift_id", "feature_label_distance", "decision_aware_distance"],
-            grid_rows,
-        )
         pooled_ac, pooled_bc = pooled.result()
-        _write_csv(
-            out_dir / "motivating_distances.csv",
-            ["pair", "feature_label_pooled", "decision_aware"],
-            [("A_to_C", fmt(pooled_ac), fmt(decision_ac)), ("B_to_C", fmt(pooled_bc), fmt(decision_bc))],
-        )
+    for name, header, rows in (
+        ("motivating_regrets.csv", ["model", "target_regret"], regret_rows),
+        ("weight_sweep.csv", ["alpha_x", "alpha_y", "alpha_w", "r2"], _sweep_rows(rows_out)),
+        ("sweep_transferability.csv",
+         ["gamma", "transferability", "regret_source_on_target", "regret_target_on_target"],
+         [(fmt(g), fmt(r.transferability), fmt(r.regret_source_on_target), fmt(r.regret_target_on_target))
+          for g, r in zip(gammas, records)]),
+        ("target_shift_grid.csv",
+         ["task_variant", "shift_id", "feature_label_distance", "decision_aware_distance"], grid_rows),
+        ("motivating_distances.csv", ["pair", "feature_label_pooled", "decision_aware"],
+         [("A_to_C", fmt(pooled_ac), fmt(decision_ac)), ("B_to_C", fmt(pooled_bc), fmt(decision_bc))]),
+    ):
+        _write_csv(out_dir / name, header, rows)
     print(f"wrote reproduction tables to {out_dir}")
     return EXIT_OK
 
@@ -333,8 +319,18 @@ def cmd_repro(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="ptodist", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options that several commands share, each stated once
+    weights = argparse.ArgumentParser(add_help=False)
+    weights.add_argument("--alpha-x", type=float, default=1 / 3)
+    weights.add_argument("--alpha-y", type=float, default=1 / 3)
+    weights.add_argument("--alpha-w", type=float, default=1 / 3)
+    mode = argparse.ArgumentParser(add_help=False)
+    mode.add_argument("--mode", choices=list(ground_cost.MODES), default="as-written")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    seeded.add_argument("--out", required=True)
 
-    p = sub.add_parser("gen", help="generate a synthetic dataset file")
+    p = sub.add_parser("gen", parents=[seeded], help="generate a synthetic dataset file")
     p.add_argument("--family", required=True, choices=["topk", "grid", "inventory"])
     p.add_argument("--gamma", type=float, default=None, help="topk: target-shift parameter")
     p.add_argument("--instances", type=int, default=50)
@@ -349,45 +345,31 @@ def build_parser() -> _Parser:
     p.add_argument("--mean-seed", type=int, default=0, help="inventory: feature-mean seed")
     p.add_argument("--theta-seed", type=int, default=0, help="inventory: score-matrix seed")
     p.add_argument("--features", type=int, default=1, help="inventory: feature dimension")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("dist", help="decision-aware distance between two dataset files")
+    p = sub.add_parser("dist", parents=[weights, mode], help="decision-aware distance between two dataset files")
     p.add_argument("dataset_a")
     p.add_argument("dataset_b")
-    p.add_argument("--alpha-x", type=float, default=1 / 3)
-    p.add_argument("--alpha-y", type=float, default=1 / 3)
-    p.add_argument("--alpha-w", type=float, default=1 / 3)
     p.add_argument("--solver", choices=["exact", "sinkhorn"], default="exact")
     p.add_argument("--epsilon", type=float, default=0.01)
-    p.add_argument("--mode", choices=list(ground_cost.MODES), default="as-written")
     p.add_argument("--breakdown", default=None, help="write per-pair cost breakdown CSV here")
     p.set_defaults(func=cmd_dist)
 
-    p = sub.add_parser("transfer", help="regret transferability of sources onto a target")
+    p = sub.add_parser("transfer", parents=[weights, mode, seeded],
+                       help="regret transferability of sources onto a target")
     p.add_argument("--source", action="append", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--alpha-x", type=float, default=1 / 3)
-    p.add_argument("--alpha-y", type=float, default=1 / 3)
-    p.add_argument("--alpha-w", type=float, default=1 / 3)
-    p.add_argument("--mode", choices=list(ground_cost.MODES), default="as-written")
     p.add_argument("--budget", type=int, default=5000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_transfer)
 
-    p = sub.add_parser("sweep", help="R-squared over the ground-cost weight simplex")
+    p = sub.add_parser("sweep", parents=[mode, seeded], help="R-squared over the ground-cost weight simplex")
     p.add_argument("--source", action="append", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--resolution", type=int, default=10)
-    p.add_argument("--mode", choices=list(ground_cost.MODES), default="as-written")
     p.add_argument("--budget", type=int, default=5000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("bound", help="empirical adaptation-bound check")
+    p = sub.add_parser("bound", parents=[seeded], help="empirical adaptation-bound check")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--lambdas", type=_positive_finite_list, default="0.5,1,2,4",
@@ -395,8 +377,6 @@ def build_parser() -> _Parser:
     p.add_argument("--k1", type=_positive_finite, default=None)
     p.add_argument("--k2", type=_positive_finite, default=None)
     p.add_argument("--budget", type=int, default=3000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("repro", help="run the full experiment pipelines into one directory")

@@ -8,17 +8,15 @@ Every generator is deterministic given its seeds and stamps provenance
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .tasks import (
-    FAMILIES,
-    InventoryParams,
     TaskDefinition,
     feasible_rows,
     inventory_task,
+    is_finite_number,
     objective_rows,
     oracle_batch,
     shortest_path_task,
@@ -232,29 +230,8 @@ def gen_inventory(
     return PtODataset(task, X, Y, oracle_batch(task, Y), provenance)
 
 
-def _is_number(v) -> bool:
-    """A JSON number that is a finite float; a bool is not one."""
-    return (type(v) is int and abs(v) <= 1e308) or (type(v) is float and math.isfinite(v))
-
-
 def _line_error(path, lineno: int, message) -> DatasetFormatError:
     return DatasetFormatError(f"{path}: line {lineno}: {message}")
-
-
-def _param_from_json(key, value, json_type):
-    """A task param's JSON value as the task holds it: an object of numbers
-    becomes :class:`InventoryParams`, the one shape the reader converts. Any
-    other value goes on as it is; the task checks its type, and names a param
-    with no type, one unknown to the family."""
-    if json_type != "an object of numbers":
-        return value
-    if not (isinstance(value, dict) and all(map(_is_number, value.values()))):
-        raise ValueError(f"task param {key!r} must be {json_type}")
-    known = {f.name for f in fields(InventoryParams)}
-    unknown = [name for name in value if name not in known]
-    if unknown:
-        raise ValueError(f"unknown inventory param {unknown[0]!r}")
-    return InventoryParams(**value)
 
 
 def _task_from_json(obj, path) -> TaskDefinition:
@@ -263,14 +240,8 @@ def _task_from_json(obj, path) -> TaskDefinition:
     for key in ("kind", "params"):
         if key not in obj:
             raise _line_error(path, 1, f"task missing field {key!r}")
-    kind, params = obj["kind"], obj["params"]
-    if not isinstance(kind, str) or kind not in FAMILIES:
-        raise _line_error(path, 1, f"unknown task kind {kind!r}")
-    if not isinstance(params, dict):
-        raise _line_error(path, 1, "task params must be an object")
-    types = FAMILIES[kind].params
-    try:  # the task names a missing param and fills in the defaults
-        return TaskDefinition(kind, {key: _param_from_json(key, v, types.get(key)) for key, v in params.items()})
+    try:  # the task checks its kind and params, names a missing one and fills in the defaults
+        return TaskDefinition(obj["kind"], obj["params"])
     except ValueError as exc:
         raise _line_error(path, 1, exc) from exc
 
@@ -322,7 +293,7 @@ def read_dataset(path) -> PtODataset:
         for key in ("x", "y", "z"):
             if key not in rec:
                 raise _line_error(path, lineno, f"sample record missing field {key!r}")
-            if not (rec[key] and isinstance(rec[key], list) and all(map(_is_number, rec[key]))):
+            if not (rec[key] and isinstance(rec[key], list) and all(map(is_finite_number, rec[key]))):
                 raise _line_error(path, lineno, f"field {key!r} must be a nonempty list of finite numbers")
             if records and len(rec[key]) != len(records[0][key]):
                 raise _line_error(path, lineno, f"field {key!r} has {len(rec[key])} values, "

@@ -15,9 +15,8 @@ path cost.
 
 from __future__ import annotations
 
-import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -26,6 +25,16 @@ import numpy as np
 
 class NegativeCostError(ArithmeticError):
     """A shortest-path cell cost is negative, so shortest paths are undefined."""
+
+
+def _is_real(v) -> bool:
+    """An int or a float; a bool is not one."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def is_finite_number(v) -> bool:
+    """An int or a float within the float range; NaN, an infinity and a bool are not one."""
+    return _is_real(v) and abs(v) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -41,7 +50,7 @@ class InventoryParams:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not 0 <= value < math.inf:
+            if not (is_finite_number(value) and value >= 0):
                 raise ValueError(f"inventory cost coefficients must be nonnegative and finite, got {name}={value!r}")
         if not (self.q0 > 0 or (self.qb > 0 and self.qh > 0)):
             raise ValueError("need q0 > 0 or both qb, qh > 0 for a unique minimizer")
@@ -66,18 +75,14 @@ FAMILIES = {
 }
 
 
-def _is_real(v) -> bool:
-    """An int or a float; a bool is not one."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 # The check of each param type of FAMILIES on the value a task holds
 _PARAM_TYPES = {
     "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "a boolean": lambda v: isinstance(v, bool),
     "a number": _is_real,
     "a list of numbers": lambda v: isinstance(v, (list, tuple)) and all(map(_is_real, v)),
-    "an object of numbers": lambda v: isinstance(v, InventoryParams),
+    "an object of numbers": lambda v: isinstance(v, InventoryParams) or (
+        isinstance(v, dict) and all(map(_is_real, v.values()))),
 }
 
 
@@ -90,8 +95,10 @@ class TaskDefinition:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in FAMILIES:
+        if not isinstance(self.kind, str) or self.kind not in FAMILIES:
             raise ValueError(f"unknown task kind {self.kind!r}")
+        if not isinstance(self.params, dict):
+            raise ValueError("task params must be an object")
         family = FAMILIES[self.kind]
         for key in self.params:
             if key not in family.params:
@@ -105,11 +112,19 @@ class TaskDefinition:
             value = self.params[key]
             if not _PARAM_TYPES[kind](value):
                 raise ValueError(f"task param {key!r} must be {kind}, got {value!r}")
-            numbers = value if kind == "a list of numbers" else [value] if kind == "a number" else []
-            if not all(abs(v) <= sys.float_info.max for v in numbers):  # NaN fails too
+            numbers = ([value] if kind == "a number" else value if kind == "a list of numbers"
+                       else value.values() if isinstance(value, dict) else [])
+            if not all(map(is_finite_number, numbers)):
                 raise ValueError(f"task param {key!r} must be finite, got {value!r}")
-            if kind == "a list of numbers":  # a list and a tuple of the same numbers are one task
+            # a list and a tuple of the same numbers are one task, as are an object and InventoryParams
+            if kind == "a list of numbers":
                 self.params[key] = tuple(value)
+            elif isinstance(value, dict):
+                known = {f.name for f in fields(InventoryParams)}
+                unknown = [name for name in value if name not in known]
+                if unknown:
+                    raise ValueError(f"unknown inventory param {unknown[0]!r}")
+                self.params[key] = InventoryParams(**value)
         if self.kind == "topk":
             k = self.params["k"]
             n = self.params["n_resources"]

@@ -323,6 +323,12 @@ def test_a_file_that_is_not_utf8_is_a_data_error_naming_it(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["dist", str(binary), str(a)]) == 2
     assert capsys.readouterr().err.startswith(f"data error: {binary}: not UTF-8 text: 'utf-8' codec ")
+    # a repro config likewise, before any output is made
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_bytes(b"seed=3\nbudget\xff=5\n")
+    assert run_cli(["repro", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {cfg}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_lp_failure_is_numerical_failure(tmp_path, capsys, monkeypatch):
@@ -449,6 +455,8 @@ def test_cli_rerun_is_bit_identical(tmp_path):
 
 
 SMALL_REPRO = "seed=3\nbudget=200\nresolution=2\ninstances=8\n"  # criterion 9's config
+REPRO_TABLES = ("motivating_regrets.csv", "motivating_distances.csv",
+                "weight_sweep.csv", "sweep_transferability.csv", "target_shift_grid.csv")
 
 
 def test_repro_command_small_config(tmp_path):
@@ -456,8 +464,7 @@ def test_repro_command_small_config(tmp_path):
     cfg.write_text(SMALL_REPRO)
     out_dir = tmp_path / "out"
     assert run_cli(["repro", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
-    for name in ("motivating_regrets.csv", "motivating_distances.csv",
-                 "weight_sweep.csv", "sweep_transferability.csv", "target_shift_grid.csv"):
+    for name in REPRO_TABLES:
         assert (out_dir / name).exists(), name
     assert len(read_rows(out_dir / "weight_sweep.csv")) == 6
 
@@ -478,9 +485,20 @@ def test_repro_joins_its_threads_on_every_path(tmp_path, monkeypatch, patched, e
         monkeypatch.setattr(transfer, patched, _raise(exc))
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(SMALL_REPRO)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    earlier = {name: f"{name} of an earlier run\n".encode() for name in REPRO_TABLES}
+    for name, data in earlier.items():
+        (out_dir / name).write_bytes(data)
     before = threading.active_count()
-    assert run_cli(["repro", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == exit_code
+    assert run_cli(["repro", "--config", str(cfg), "--out-dir", str(out_dir)]) == exit_code
     assert threading.active_count() == before
+    # the tables are written after all the work: a failed run leaves the earlier ones as they were
+    now = {name: (out_dir / name).read_bytes() for name in REPRO_TABLES}
+    if patched:
+        assert now == earlier
+    else:
+        assert all(now[name] != earlier[name] for name in REPRO_TABLES)
 
 
 @pytest.mark.parametrize("lines, lineno, message", [

@@ -119,6 +119,11 @@ def test_task_definition_validation():
         inventory_task(demand_values=(3.0, 2.0, 1.0))
     with pytest.raises(ValueError):
         TaskDefinition("auction", {})
+    # a kind that is not a string, or params that are not a dict, is a ValueError, not a TypeError
+    with pytest.raises(ValueError, match=r"^unknown task kind \['topk'\]$"):
+        TaskDefinition(["topk"], {})
+    with pytest.raises(ValueError, match="^task params must be an object$"):
+        TaskDefinition("topk", 5)
     # one missing param per family, named as a dataset file's header names it
     for kind, params, missing in (("topk", {"k": 1}, "n_resources"),
                                   ("shortest_path", {"neighborhood": 4}, "p"),
@@ -137,6 +142,12 @@ def test_task_params_take_the_family_order_and_defaults():
     # a list of numbers is held as a tuple: the same numbers in a list or a tuple make one task
     listed = TaskDefinition("inventory", {"demand_values": [5.0, 10.0], "inventory_params": InventoryParams()})
     assert listed.params["demand_values"] == (5.0, 10.0) and listed == inventory_task((5.0, 10.0))
+    # an object of numbers is held as InventoryParams: the same numbers in either make one task
+    read = TaskDefinition("inventory", {"demand_values": [5.0, 10.0], "inventory_params": {"c0": 1.0}})
+    assert read.params["inventory_params"] == InventoryParams(c0=1.0)
+    assert read == inventory_task((5.0, 10.0), InventoryParams(c0=1.0))
+    with pytest.raises(ValueError, match="^unknown inventory param 'c9'$"):
+        TaskDefinition("inventory", {"demand_values": [5.0, 10.0], "inventory_params": {"c0": 1.0, "c9": 2.0}})
 
 
 def test_inventory_params_validation():
@@ -144,6 +155,10 @@ def test_inventory_params_validation():
         InventoryParams(c0=-1.0)
     with pytest.raises(ValueError):
         InventoryParams(q0=0.0, qb=0.0, qh=1.0)  # no unique minimizer guarantee
+    # a bool is not a number, and an int beyond the float range would overflow the oracle
+    for value in (True, 10**400):
+        with pytest.raises(ValueError, match="^inventory cost coefficients must be nonnegative and finite, got c0="):
+            InventoryParams(c0=value)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -177,8 +192,8 @@ def test_nonfinite_task_values_are_rejected_at_construction(build, message):
     (lambda: shortest_path_task(3, length_weight=-2.0), "task param 'length_weight' must be nonnegative, got -2.0"),
     (lambda: TaskDefinition("inventory", {"demand_values": (1.0, "2"), "inventory_params": InventoryParams()}),
      "task param 'demand_values' must be a list of numbers, got (1.0, '2')"),
-    (lambda: TaskDefinition("inventory", {"demand_values": (1.0, 2.0), "inventory_params": {"c0": 1.0}}),
-     "task param 'inventory_params' must be an object of numbers, got {'c0': 1.0}"),
+    (lambda: TaskDefinition("inventory", {"demand_values": (1.0, 2.0), "inventory_params": {"c0": "1"}}),
+     "task param 'inventory_params' must be an object of numbers, got {'c0': '1'}"),
 ])
 def test_task_param_types_are_checked_at_construction(build, message):
     with pytest.raises(ValueError) as info:
