@@ -53,42 +53,37 @@ def _positive_finite_list(text: str) -> list[float]:
     return [_positive_finite(item) for item in text.split(",")]
 
 
+def _cell(value) -> str:
+    """The CSV text of a value: a float via :func:`fmt`, ``None`` as
+    ``undefined``, a bool as ``true``/``false``, anything else via ``str``."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return fmt(value)
+    return "undefined" if value is None else str(value)
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(map(_cell, row) for row in rows)
+
+
+# each family of ``gen``: its generator and the params it takes from the options
+_GENERATORS = {
+    "topk": (datagen.gen_topk, ("gamma", "n_resources", "n_instances", "k", "seed")),
+    "grid": (datagen.gen_grid, ("class_cost_seed", "map_seed", "p", "n_classes", "n_instances", "length_weight")),
+    "inventory": (datagen.gen_inventory, ("mean_shift_seed", "theta_seed", "n_features", "n_instances", "seed")),
+}
 
 
 def cmd_gen(args) -> int:
-    if args.family == "topk":
-        if args.gamma is None:
-            print("gen: error: --gamma is required for --family topk", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-        ds = datagen.gen_topk(
-            gamma=args.gamma,
-            n_resources=args.resources,
-            n_instances=args.instances,
-            k=args.k,
-            seed=args.seed,
-        )
-    elif args.family == "grid":
-        ds = datagen.gen_grid(
-            class_cost_seed=args.cost_seed,
-            map_seed=args.map_seed,
-            p=args.p,
-            n_classes=args.classes,
-            n_instances=args.instances,
-            length_weight=args.length_weight,
-        )
-    else:
-        ds = datagen.gen_inventory(
-            mean_shift_seed=args.mean_seed,
-            theta_seed=args.theta_seed,
-            n_features=args.features,
-            n_instances=args.instances,
-            seed=args.seed,
-        )
+    if args.family == "topk" and "gamma" not in args:
+        print("gen: error: --gamma is required for --family topk", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+    generator, params = _GENERATORS[args.family]
+    ds = generator(**{name: getattr(args, name) for name in params if name in args})
     write_dataset(ds, args.out)
     print(f"wrote {len(ds)} samples to {args.out}: {ds.provenance}")
     return EXIT_OK
@@ -108,9 +103,7 @@ def _read_same_task(paths) -> list[PtODataset]:
 def cmd_dist(args) -> int:
     a, b = _read_same_task([args.dataset_a, args.dataset_b])
     w = GroundCostWeights(args.alpha_x, args.alpha_y, args.alpha_w)
-    value = decision_aware_distance(
-        a, b, w, solver=args.solver, epsilon=args.epsilon, mode=args.mode
-    )
+    value = decision_aware_distance(a, b, w, solver=args.solver, epsilon=args.epsilon, mode=args.mode)
     print(fmt(value))
     if args.breakdown:
         # one row per pair (i, j), i-major; totals are the entries of the
@@ -121,7 +114,7 @@ def cmd_dist(args) -> int:
         _write_csv(
             args.breakdown,
             ["i", "j", "feature_term", "label_term", "decision_term", "total"],
-            zip(i, j, *(map(fmt, t.ravel().tolist()) for t in terms)),
+            zip(i, j, *(t.ravel().tolist() for t in terms)),
         )
     return EXIT_OK
 
@@ -130,15 +123,12 @@ def cmd_transfer(args) -> int:
     target, *sources = _read_same_task([args.target, *args.source])
     w = GroundCostWeights(args.alpha_x, args.alpha_y, args.alpha_w)
     records = transfer.transfer_records(target.task, sources, target, budget=args.budget, seed=args.seed)
-    rows = []
-    for path, source, rec in zip(args.source, sources, records):
-        dist = decision_aware_distance(source, target, w, mode=args.mode)
-        rows.append(
-            (str(path), str(args.target), fmt(dist),
-             fmt(w.alpha_x), fmt(w.alpha_y), fmt(w.alpha_w),
-             fmt(rec.transferability) if rec.transferability is not None else "undefined",
-             fmt(rec.regret_source_on_target), fmt(rec.regret_target_on_target))
-        )
+    rows = [
+        (path, args.target, decision_aware_distance(source, target, w, mode=args.mode),
+         w.alpha_x, w.alpha_y, w.alpha_w,
+         rec.transferability, rec.regret_source_on_target, rec.regret_target_on_target)
+        for path, source, rec in zip(args.source, sources, records)
+    ]
     _write_csv(
         args.out,
         ["source_id", "target_id", "distance", "alpha_x", "alpha_y", "alpha_w",
@@ -150,9 +140,8 @@ def cmd_transfer(args) -> int:
 
 
 def _sweep_rows(rows_out):
-    """CSV rows of a weight sweep; an R-squared with no line to fit is ``undefined``."""
-    return [(fmt(w.alpha_x), fmt(w.alpha_y), fmt(w.alpha_w), fmt(r2) if r2 is not None else "undefined")
-            for w, r2 in rows_out]
+    """CSV rows of a weight sweep; an R-squared with no line to fit is None."""
+    return [(w.alpha_x, w.alpha_y, w.alpha_w, r2) for w, r2 in rows_out]
 
 
 def cmd_sweep(args) -> int:
@@ -162,11 +151,7 @@ def cmd_sweep(args) -> int:
         grid_resolution=args.resolution, mode=args.mode,
         budget=args.budget, seed=args.seed,
     )
-    _write_csv(
-        args.out,
-        ["alpha_x", "alpha_y", "alpha_w", "r2"],
-        _sweep_rows(rows_out),
-    )
+    _write_csv(args.out, ["alpha_x", "alpha_y", "alpha_w", "r2"], _sweep_rows(rows_out))
     print(f"wrote {len(rows_out)} sweep rows to {args.out}")
     return EXIT_OK
 
@@ -187,17 +172,10 @@ def cmd_bound(args) -> int:
         k1, k2 = args.k1, args.k2
     else:
         k1, k2 = transfer.default_lipschitz_constants(task, task.label_dim, seed=args.seed)
-    all_hold = True
-    rows = []
     reports = transfer._bound_reports(task, f, f_tilde, source, target, args.lambdas, k1, k2)
-    for lam, rep in zip(args.lambdas, reports):
-        all_hold = all_hold and rep.holds
-        rows.append(
-            (fmt(lam), fmt(rep.lhs), fmt(rep.joint_regret_source),
-             fmt(rep.joint_regret_target), fmt(rep.lipschitz_term),
-             fmt(rep.scaled_ot_term), fmt(rep.k1), fmt(rep.k2),
-             fmt(rep.alpha_w), fmt(rep.phi), str(rep.holds).lower())
-        )
+    rows = [(rep.lam, rep.lhs, rep.joint_regret_source, rep.joint_regret_target, rep.lipschitz_term,
+             rep.scaled_ot_term, rep.k1, rep.k2, rep.alpha_w, rep.phi, rep.holds) for rep in reports]
+    all_hold = all(rep.holds for rep in reports)
     _write_csv(
         args.out,
         ["lambda", "lhs", "joint_regret_source", "joint_regret_target",
@@ -272,9 +250,9 @@ def cmd_repro(args) -> int:
         theta_a = transfer.train_regret_min(task, d_a, budget=budget, seed=seed)
         theta_b = transfer.train_regret_min(task, d_b, budget=budget, seed=seed)
         regret_rows = [
-            ("trained_on_gamma_0.0", fmt(transfer.mean_regret(task, theta_a, d_c))),
-            ("trained_on_gamma_1.2", fmt(transfer.mean_regret(task, theta_b, d_c))),
-            ("trained_on_target", fmt(records[0].regret_target_on_target)),
+            ("trained_on_gamma_0.0", transfer.mean_regret(task, theta_a, d_c)),
+            ("trained_on_gamma_1.2", transfer.mean_regret(task, theta_b, d_c)),
+            ("trained_on_target", records[0].regret_target_on_target),
         ]
         w_dec = GroundCostWeights(0.5, 0.0, 0.5)
         decision_ac, decision_bc = (decision_aware_distance(d, d_c, w_dec) for d in (d_a, d_b))
@@ -293,23 +271,20 @@ def cmd_repro(args) -> int:
                     class_cost_seed=seed + 101 + shift, map_seed=seed + 200,
                     n_instances=min(n_instances, 20), length_weight=lw,
                 )
-                grid_rows.append(
-                    (variant, shift,
-                     fmt(decision_aware_distance(src, tgt, w_fl)),
-                     fmt(decision_aware_distance(src, tgt, w_third)))
-                )
+                grid_rows.append((variant, shift, decision_aware_distance(src, tgt, w_fl),
+                                  decision_aware_distance(src, tgt, w_third)))
         pooled_ac, pooled_bc = pooled.result()
     for name, header, rows in (
         ("motivating_regrets.csv", ["model", "target_regret"], regret_rows),
         ("weight_sweep.csv", ["alpha_x", "alpha_y", "alpha_w", "r2"], _sweep_rows(rows_out)),
         ("sweep_transferability.csv",
          ["gamma", "transferability", "regret_source_on_target", "regret_target_on_target"],
-         [(fmt(g), fmt(r.transferability), fmt(r.regret_source_on_target), fmt(r.regret_target_on_target))
+         [(g, r.transferability, r.regret_source_on_target, r.regret_target_on_target)
           for g, r in zip(gammas, records)]),
         ("target_shift_grid.csv",
          ["task_variant", "shift_id", "feature_label_distance", "decision_aware_distance"], grid_rows),
         ("motivating_distances.csv", ["pair", "feature_label_pooled", "decision_aware"],
-         [("A_to_C", fmt(pooled_ac), fmt(decision_ac)), ("B_to_C", fmt(pooled_bc), fmt(decision_bc))]),
+         [("A_to_C", pooled_ac, decision_ac), ("B_to_C", pooled_bc, decision_bc)]),
     ):
         _write_csv(out_dir / name, header, rows)
     print(f"wrote reproduction tables to {out_dir}")
@@ -330,21 +305,22 @@ def build_parser() -> _Parser:
     seeded.add_argument("--seed", type=int, default=0)
     seeded.add_argument("--out", required=True)
 
-    p = sub.add_parser("gen", parents=[seeded], help="generate a synthetic dataset file")
-    p.add_argument("--family", required=True, choices=["topk", "grid", "inventory"])
-    p.add_argument("--gamma", type=float, default=None, help="topk: target-shift parameter")
-    p.add_argument("--instances", type=int, default=50)
-    p.add_argument("--resources", type=int, default=25, help="topk: resources per instance")
-    p.add_argument("--k", type=int, default=1, help="topk: selection size")
-    p.add_argument("--p", type=int, default=12, help="grid: side length")
-    p.add_argument("--classes", type=int, default=5, help="grid: number of cell classes")
-    p.add_argument("--cost-seed", type=int, default=0, help="grid: class-cost table seed")
+    # an option left out is not passed, so the generator's own default applies
+    p = sub.add_parser("gen", parents=[seeded], argument_default=argparse.SUPPRESS,
+                       help="generate a synthetic dataset file")
+    p.add_argument("--family", required=True, choices=list(_GENERATORS))
+    p.add_argument("--gamma", type=float, help="topk: target-shift parameter")
+    p.add_argument("--instances", dest="n_instances", type=int)
+    p.add_argument("--resources", dest="n_resources", type=int, help="topk: resources per instance")
+    p.add_argument("--k", type=int, help="topk: selection size")
+    p.add_argument("--p", type=int, help="grid: side length")
+    p.add_argument("--classes", dest="n_classes", type=int, help="grid: number of cell classes")
+    p.add_argument("--cost-seed", dest="class_cost_seed", type=int, default=0, help="grid: class-cost table seed")
     p.add_argument("--map-seed", type=int, default=0, help="grid: class-map seed")
-    p.add_argument("--length-weight", type=float, default=tasks.FAMILIES["shortest_path"].defaults["length_weight"],
-                   help="grid: per-cell length penalty")
-    p.add_argument("--mean-seed", type=int, default=0, help="inventory: feature-mean seed")
+    p.add_argument("--length-weight", type=float, help="grid: per-cell length penalty")
+    p.add_argument("--mean-seed", dest="mean_shift_seed", type=int, default=0, help="inventory: feature-mean seed")
     p.add_argument("--theta-seed", type=int, default=0, help="inventory: score-matrix seed")
-    p.add_argument("--features", type=int, default=1, help="inventory: feature dimension")
+    p.add_argument("--features", dest="n_features", type=int, help="inventory: feature dimension")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("dist", parents=[weights, mode], help="decision-aware distance between two dataset files")

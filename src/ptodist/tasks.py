@@ -18,6 +18,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -77,7 +78,7 @@ FAMILIES = {
 
 # The check of each param type of FAMILIES on the value a task holds
 _PARAM_TYPES = {
-    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "an integer": lambda v: isinstance(v, Integral) and not isinstance(v, bool),
     "a boolean": lambda v: isinstance(v, bool),
     "a number": _is_real,
     "a list of numbers": lambda v: isinstance(v, (list, tuple)) and all(map(_is_real, v)),
@@ -116,8 +117,11 @@ class TaskDefinition:
                        else value.values() if isinstance(value, dict) else [])
             if not all(map(is_finite_number, numbers)):
                 raise ValueError(f"task param {key!r} must be finite, got {value!r}")
-            # a list and a tuple of the same numbers are one task, as are an object and InventoryParams
-            if kind == "a list of numbers":
+            # a list and a tuple of the same numbers are one task, as are an object and
+            # InventoryParams, and a numpy integer and an int
+            if kind == "an integer":
+                self.params[key] = int(value)
+            elif kind == "a list of numbers":
                 self.params[key] = tuple(value)
             elif isinstance(value, dict):
                 known = {f.name for f in fields(InventoryParams)}

@@ -105,3 +105,17 @@ def test_fewer_than_two_pairs_is_a_usage_error(tmp_path, monkeypatch, capsys, pa
     assert exc.value.code == 2
     assert f"--pairs: must be at least 2, got {int(pairs)}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_failed_run_is_reported_and_writes_no_record(tmp_path, capsys):
+    failing = {"run.py": "import sys\nfor i in range(12):\n    print(f'err-{i:02d}', file=sys.stderr)\nsys.exit(1)\n"}
+    parent = make_tree(tmp_path / "parent", failing)
+    change = make_tree(tmp_path / "change", failing)
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "bound", "--pairs", "2",
+            "--first-seed", "7", "--out", str(out), "--describe", "d", "--claim", "c", "--seconds", "1"]
+    assert bench_pairs.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"the parent run in {parent} failed (pair 1, seed 7): exit 1" in err
+    assert [line for line in err.splitlines() if line.startswith("err-")] == [f"err-{i:02d}" for i in range(2, 12)]
+    assert not out.exists()

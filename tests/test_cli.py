@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptodist import cli, ot_core, transfer
-from ptodist.datagen import read_dataset
+from ptodist import cli, datagen, ot_core, transfer
+from ptodist.datagen import read_dataset, write_dataset
 from ptodist.ground_cost import GroundCostWeights, pairwise_cost_matrix
 from ptodist.tasks import shortest_path_task
 
@@ -64,6 +65,18 @@ def test_gen_grid_and_inventory(tmp_path):
                     "--mean-seed", "1", "--theta-seed", "2", "--out", str(inv)]) == 0
     assert read_dataset(grid).task.kind == "shortest_path"
     assert read_dataset(inv).task.kind == "inventory"
+
+
+@pytest.mark.parametrize("family, given, generate", [
+    ("topk", ["--gamma", "0.5"], lambda: datagen.gen_topk(0.5)),
+    ("grid", [], lambda: datagen.gen_grid(0, 0)),
+    ("inventory", [], lambda: datagen.gen_inventory(0, 0)),
+])
+def test_gen_leaves_out_no_option_at_the_generators_defaults(tmp_path, family, given, generate):
+    out, expected = tmp_path / "cli.plds", tmp_path / "library.plds"
+    assert run_cli(["gen", "--family", family, *given, "--out", str(out)]) == 0
+    write_dataset(generate(), expected)
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_gen_negative_length_weight_is_a_data_error(tmp_path, capsys):
@@ -365,6 +378,17 @@ def test_transfer_command(tmp_path):
         float(r["distance"])  # parses
 
 
+def test_transfer_onto_a_target_of_zero_regret_writes_undefined(tmp_path):
+    # a gamma-0 target's utilities rise with the feature, so the model trained on it has zero regret
+    source = gen_topk_file(tmp_path, "s.plds", 1.2, 2, instances=10)
+    target = gen_topk_file(tmp_path, "t.plds", 0.0, 1, instances=10)
+    out = tmp_path / "transfer.csv"
+    assert run_cli(["transfer", "--source", str(source), "--target", str(target),
+                    "--budget", "200", "--out", str(out)]) == 0
+    [row] = read_rows(out)
+    assert (row["transferability"], row["regret_target_on_target"]) == ("undefined", "0")
+
+
 def test_sweep_command(tmp_path):
     srcs = [gen_topk_file(tmp_path, f"s{i}.plds", g, 10 + i)
             for i, g in enumerate((0.0, 0.4, 0.8, 1.2))]
@@ -407,6 +431,23 @@ def test_bound_one_lipschitz_constant_is_a_usage_error(tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert "--k1" in err and "--k2" in err
     assert not out.exists()
+
+
+def test_bound_that_fails_writes_false_and_exits_3(tmp_path, capsys, monkeypatch):
+    reports = transfer._bound_reports
+
+    def failing_reports(*args):
+        first, *rest = reports(*args)
+        return [dataclasses.replace(first, lhs=first.rhs + 1.0), *rest]
+
+    monkeypatch.setattr(transfer, "_bound_reports", failing_reports)
+    a = gen_topk_file(tmp_path, "a.plds", 0.65, 5, instances=6, resources=6)
+    out = tmp_path / "bound.csv"
+    capsys.readouterr()
+    assert run_cli(["bound", "--source", str(a), "--target", str(a), "--lambdas", "1,2",
+                    "--k1", "2", "--k2", "1.5", "--budget", "50", "--out", str(out)]) == 3
+    assert [r["holds"] for r in read_rows(out)] == ["false", "true"]
+    assert capsys.readouterr().out == f"wrote 2 bound rows to {out}; all_hold=False\n"
 
 
 def test_bound_lambda_grid_option(tmp_path):

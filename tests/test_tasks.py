@@ -16,6 +16,7 @@ from _reference import (
     topk_oracle_put_along_axis,
 )
 from ptodist import tasks
+from ptodist.datagen import gen_topk, read_dataset, write_dataset
 from ptodist.tasks import (
     InventoryParams,
     NegativeCostError,
@@ -148,6 +149,18 @@ def test_task_params_take_the_family_order_and_defaults():
     assert read == inventory_task((5.0, 10.0), InventoryParams(c0=1.0))
     with pytest.raises(ValueError, match="^unknown inventory param 'c9'$"):
         TaskDefinition("inventory", {"demand_values": [5.0, 10.0], "inventory_params": {"c0": 1.0, "c9": 2.0}})
+
+
+def test_integer_params_may_be_numpy_integers(tmp_path):
+    task = topk_task(np.int64(5), np.uint8(1))
+    assert task == topk_task(5, 1) and type(task.params["n_resources"]) is int
+    assert shortest_path_task(np.int64(4)) == shortest_path_task(4)
+    # the header of a dataset built from them is JSON
+    ds = gen_topk(0.5, n_resources=np.int64(5), n_instances=3)
+    write_dataset(ds, tmp_path / "a.plds")
+    assert read_dataset(tmp_path / "a.plds").task == topk_task(5, 1)
+    with pytest.raises(ValueError, match="^task param 'k' must be an integer, got np.True_$"):
+        topk_task(5, np.True_)
 
 
 def test_inventory_params_validation():

@@ -6,8 +6,11 @@
 
 Each pair runs ``bench/run.py`` once in each tree, at one seed per pair
 (``--first-seed`` + pair index), one process at a time; the parent runs first
-in odd pairs and the change first in even ones. Each tree runs its own
-``bench/`` on its own ``src/``, so both sides must hold the same bench code:
+in odd pairs and the change first in even ones. A run that exits non-zero
+ends the pairs: its side, tree, pair, seed and exit code and the last 10
+lines of its stderr are reported, no record is written, and the exit code is
+2. Each tree runs its own ``bench/`` on its own ``src/``, so both sides must
+hold the same bench code:
 two trees whose ``bench/`` files differ (by sha256; ``bench/out/`` and
 ``__pycache__`` are left out) are refused before any run.
 The workload's section of ``--out`` is replaced (other workloads are kept):
@@ -127,8 +130,15 @@ def main(argv=None) -> int:
     for pair in range(1, args.pairs + 1):
         seed = args.first_seed + pair - 1
         order = ("parent", "change") if pair % 2 else ("change", "parent")
-        runs[str(pair)] = {"seed": seed, **{side: run_bench(trees[side], args.workload, seed, args.seconds)
-                                              for side in order}}
+        runs[str(pair)] = {"seed": seed}
+        for side in order:
+            try:
+                runs[str(pair)][side] = run_bench(trees[side], args.workload, seed, args.seconds)
+            except subprocess.CalledProcessError as exc:
+                tail = "\n".join(exc.stderr.splitlines()[-10:])
+                print(f"bench_pairs: the {side} run in {trees[side]} failed (pair {pair}, seed {seed}): "
+                      f"exit {exc.returncode}; the last lines of its stderr:\n{tail}", file=sys.stderr)
+                return 2
         print(f"{args.workload} pair {pair}: "
               + ", ".join(f"{side} run_s {runs[str(pair)][side]['run_s']:.3f}" for side in order),
               file=sys.stderr)
