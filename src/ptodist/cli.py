@@ -48,6 +48,17 @@ def _positive_finite(text: str) -> float:
     return value
 
 
+def _at_least_one(text: str) -> int:
+    """An option value that must be an integer of at least 1: a usage error otherwise."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
 def _positive_finite_list(text: str) -> list[float]:
     """A comma-separated list of :func:`_positive_finite` values."""
     return [_positive_finite(item) for item in text.split(",")]
@@ -103,18 +114,17 @@ def _read_same_task(paths) -> list[PtODataset]:
 def cmd_dist(args) -> int:
     a, b = _read_same_task([args.dataset_a, args.dataset_b])
     w = GroundCostWeights(args.alpha_x, args.alpha_y, args.alpha_w)
-    value = decision_aware_distance(a, b, w, solver=args.solver, epsilon=args.epsilon, mode=args.mode)
-    print(fmt(value))
+    terms = ground_cost.component_matrices(a, b, args.mode)
+    cost = ground_cost.CostMatrix(ground_cost._weighted(w, *terms))
+    print(fmt(ground_cost.transport(cost, args.solver, args.epsilon)[1]))
     if args.breakdown:
         # one row per pair (i, j), i-major; totals are the entries of the
         # cost matrix the distance was solved on
-        terms = ground_cost.component_matrices(a, b, args.mode)
-        terms += (ground_cost._weighted(w, *terms),)
-        i, j = np.indices(terms[0].shape).reshape(2, -1).tolist()
+        i, j = np.indices(cost.entries.shape).reshape(2, -1).tolist()
         _write_csv(
             args.breakdown,
             ["i", "j", "feature_term", "label_term", "decision_term", "total"],
-            zip(i, j, *(t.ravel().tolist() for t in terms)),
+            zip(i, j, *(t.ravel().tolist() for t in (*terms, cost.entries))),
         )
     return EXIT_OK
 
@@ -310,7 +320,7 @@ def build_parser() -> _Parser:
                        help="generate a synthetic dataset file")
     p.add_argument("--family", required=True, choices=list(_GENERATORS))
     p.add_argument("--gamma", type=float, help="topk: target-shift parameter")
-    p.add_argument("--instances", dest="n_instances", type=int)
+    p.add_argument("--instances", dest="n_instances", type=_at_least_one)
     p.add_argument("--resources", dest="n_resources", type=int, help="topk: resources per instance")
     p.add_argument("--k", type=int, help="topk: selection size")
     p.add_argument("--p", type=int, help="grid: side length")
@@ -320,7 +330,7 @@ def build_parser() -> _Parser:
     p.add_argument("--length-weight", type=float, help="grid: per-cell length penalty")
     p.add_argument("--mean-seed", dest="mean_shift_seed", type=int, default=0, help="inventory: feature-mean seed")
     p.add_argument("--theta-seed", type=int, default=0, help="inventory: score-matrix seed")
-    p.add_argument("--features", dest="n_features", type=int, help="inventory: feature dimension")
+    p.add_argument("--features", dest="n_features", type=_at_least_one, help="inventory: feature dimension")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("dist", parents=[weights, mode], help="decision-aware distance between two dataset files")

@@ -89,23 +89,26 @@ def decision_aware_distance(
     epsilon: float = 0.01,
     mode: str = "as-written",
 ) -> float:
-    """Optimal-transport dataset distance under the decision-aware ground cost.
-
-    Raises ``SinkhornConvergenceError`` (an ``ArithmeticError``) when the
-    Sinkhorn solver stops unconverged.
-    """
+    """Optimal-transport dataset distance under the decision-aware ground
+    cost: the value of :func:`transport` on :func:`pairwise_cost_matrix`."""
     if solver not in ("exact", "sinkhorn"):
         raise ValueError(f"solver must be 'exact' or 'sinkhorn', got {solver!r}")
-    cost = pairwise_cost_matrix(dataset, dataset_prime, w, mode)
-    a = Marginal.uniform(len(dataset))
-    b = Marginal.uniform(len(dataset_prime))
+    return transport(pairwise_cost_matrix(dataset, dataset_prime, w, mode), solver, epsilon)[1]
+
+
+def transport(cost: CostMatrix, solver: str = "exact", epsilon: float = 0.01):
+    """``(plan, value)`` of OT under ``cost`` between uniform marginals, by
+    ``solve_exact`` or ``solve_sinkhorn`` at ``epsilon``; an unconverged Sinkhorn
+    run raises ``SinkhornConvergenceError`` (an ``ArithmeticError``)."""
+    a, b = map(Marginal.uniform, cost.entries.shape)
     if solver == "exact":
-        _, value = solve_exact(cost, a, b)
-        return value
+        return solve_exact(cost, a, b)
+    if solver != "sinkhorn":
+        raise ValueError(f"solver must be 'exact' or 'sinkhorn', got {solver!r}")
     res = solve_sinkhorn(cost, a, b, epsilon=epsilon)
     if not res.converged:
         raise SinkhornConvergenceError(
             f"Sinkhorn at epsilon {epsilon!r} did not converge: marginal violation "
             f"{res.marginal_violation:.3e} after {res.iterations} iterations"
         )
-    return res.cost
+    return res.plan, res.cost

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import PtODataset, score_probs
-from .ground_cost import CostMatrix, GroundCostWeights, _components, _weighted, component_matrices
-from .ot_core import Marginal, _assign, solve_exact
+from .ground_cost import CostMatrix, GroundCostWeights, _components, _weighted, component_matrices, transport
+from .ot_core import _assign
 from .tasks import TaskDefinition, empirical_lipschitz, objective_rows, oracle_batch, shared_task
 
 
@@ -260,21 +260,13 @@ def weight_sweep(
     if any(t is None for t in transfers):
         raise ValueError("transferability undefined for a source (zero target regret)")
     components = [component_matrices(s, target, mode) for s in sources]
-    a_marg = [Marginal.uniform(len(s)) for s in sources]
-    b_marg = Marginal.uniform(len(target))
     rows = []
     for w in triples:
-        dists = []
-        for (F, L, W), a in zip(components, a_marg):
-            _, value = solve_exact(CostMatrix(_weighted(w, F, L, W)), a, b_marg)
-            dists.append(value)
+        dists = [transport(CostMatrix(_weighted(w, *terms)))[1] for terms in components]
         rows.append((w, None if _degenerate(dists) else rsquared(list(zip(dists, transfers)))))
     return rows, records
 
 
-# Rows of the pooled cost per label-term block: at 1 250 pooled points a
-# block's temporary is 0.6 MB beside the 12.5 MB cost.
-_POOLED_BLOCK_ROWS = 64
 # The weight of the feature term and of the label term of the pooled cost
 _POOLED_WEIGHT = 0.5
 
@@ -312,20 +304,15 @@ def feature_label_pooled_distances(sources: list[PtODataset], target: PtODataset
 
 
 def _pooled_cost(xa, ya, xb, yb):
-    """w |xa_i - xb_j| + w |ya_i - yb_j| at w = ``_POOLED_WEIGHT``, with the
-    label term added in blocks of rows so no second n x m array is formed."""
-    C = _scaled_abs_diff(xa, xb, _POOLED_WEIGHT)
-    for lo in range(0, xa.size, _POOLED_BLOCK_ROWS):
-        C[lo:lo + _POOLED_BLOCK_ROWS] += _scaled_abs_diff(ya[lo:lo + _POOLED_BLOCK_ROWS], yb, _POOLED_WEIGHT)
+    """w |xa_i - xb_j| + w |ya_i - yb_j| at w = ``_POOLED_WEIGHT``, built in the
+    one array it returns, a row of the label term at a time. w is a power of
+    two, so w (|dx| + |dy|) is w |dx| + w |dy| bit for bit."""
+    C = np.subtract.outer(xa, xb)
+    np.abs(C, out=C)
+    for row, y in zip(C, ya):
+        row += np.abs(y - yb)
+    C *= _POOLED_WEIGHT
     return C
-
-
-def _scaled_abs_diff(u, v, scale):
-    """scale * |u_i - v_j| for all pairs, computed in the one array it returns."""
-    D = np.subtract.outer(u, v)
-    np.abs(D, out=D)
-    D *= scale
-    return D
 
 
 LIPSCHITZ_SAFETY = 1.5
@@ -392,8 +379,7 @@ def _bound_reports(task, f, f_tilde, source, target, lams, k1, k2) -> list[Bound
     for lam in lams:
         alpha_w = 1.0 / (lam * k1 + k2 + 1.0)
         weights = GroundCostWeights(lam * k1 * alpha_w, k2 * alpha_w, alpha_w)
-        plan, d_ot = solve_exact(CostMatrix(_weighted(weights, F, L, W)),
-                                 Marginal.uniform(len(target)), Marginal.uniform(len(source)))
+        plan, d_ot = transport(CostMatrix(_weighted(weights, F, L, W)))
         coupled = plan.matrix > 0
         mass, gaps = plan.matrix[coupled], G[coupled]
         big_l = float(gaps.max())

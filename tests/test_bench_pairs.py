@@ -119,3 +119,30 @@ def test_a_failed_run_is_reported_and_writes_no_record(tmp_path, capsys):
     assert f"the parent run in {parent} failed (pair 1, seed 7): exit 1" in err
     assert [line for line in err.splitlines() if line.startswith("err-")] == [f"err-{i:02d}" for i in range(2, 12)]
     assert not out.exists()
+
+
+RESULT = json.dumps({"correct": True, "attempted": 10, "failed": 0,
+                     "metrics": {m: {"value": 1.0} for m in bench_pairs.METRICS}})
+
+
+@pytest.mark.parametrize("last_line, what", [
+    ("no result", "its last line of output is not a result (JSONDecodeError: "),
+    (RESULT[:-1], "its last line of output is not a result (JSONDecodeError: "),
+    (json.dumps({"correct": True}), "its last line of output is not a result (KeyError: 'metrics')"),
+    (RESULT.replace('"correct": true', '"correct": false'), 'it reads "correct": false'),
+], ids=["text", "cut", "no-metrics", "incorrect"])
+def test_a_malformed_or_incorrect_run_is_reported_and_writes_no_record(tmp_path, monkeypatch, capsys,
+                                                                       last_line, what):
+    # the change's run is bad; the parent's, which runs first, is good
+    parent = make_tree(tmp_path / "parent", {"run.py": f"print('progress')\nprint({RESULT!r})\n"})
+    change = make_tree(tmp_path / "change", {
+        "run.py": f"import sys\nprint('err-tail', file=sys.stderr)\nprint({last_line!r})\n"})
+    monkeypatch.setattr(bench_pairs, "differing_bench_files", lambda *trees: [])  # the stubs differ
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "bound", "--pairs", "2",
+            "--first-seed", "7", "--out", str(out), "--describe", "d", "--claim", "c", "--seconds", "1"]
+    assert bench_pairs.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"the change run in {change} failed (pair 1, seed 7): {what}" in err
+    assert err.endswith("; the last lines of its stderr:\nerr-tail\n")
+    assert not out.exists()

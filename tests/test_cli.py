@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptodist import cli, datagen, ot_core, transfer
+from ptodist import cli, datagen, ground_cost, ot_core, transfer
 from ptodist.datagen import read_dataset, write_dataset
 from ptodist.ground_cost import GroundCostWeights, pairwise_cost_matrix
 from ptodist.tasks import shortest_path_task
@@ -54,6 +54,14 @@ def test_gen_usage_errors(tmp_path):
     assert run_cli(["gen", "--family", "topk", "--out", out]) == 1
     # invalid family
     assert run_cli(["gen", "--family", "auction", "--out", out]) == 1
+
+
+@pytest.mark.parametrize("option, value", [(o, v) for o in ("--instances", "--features") for v in ("0", "-1")])
+def test_gen_size_below_one_is_a_usage_error(tmp_path, capsys, option, value):
+    out = tmp_path / "x.plds"
+    assert run_cli(["gen", "--family", "inventory", option, value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.endswith(f"error: argument {option}: must be at least 1, got '{value}'\n")
+    assert not out.exists()
 
 
 def test_gen_grid_and_inventory(tmp_path):
@@ -118,6 +126,18 @@ def test_dist_breakdown_and_weights(tmp_path, capsys):
         w = GroundCostWeights(1 / 3, 1 / 3, 1 / 3)
         C = pairwise_cost_matrix(read_dataset(a), read_dataset(b), w, mode=mode).entries
         assert np.array_equal(np.array([float(r["total"]) for r in rows]), C.ravel())
+
+
+@pytest.mark.parametrize("rows, cols, solver", [(8, 8, "exact"), (8, 6, "exact"), (8, 6, "sinkhorn")])
+def test_dist_breakdown_total_is_the_cost_the_distance_was_solved_on(tmp_path, capsys, rows, cols, solver):
+    a = gen_topk_file(tmp_path, "a.plds", 0.0, 1, instances=rows)
+    b = gen_topk_file(tmp_path, "b.plds", 1.0, 2, instances=cols)
+    bd = tmp_path / "breakdown.csv"
+    capsys.readouterr()
+    assert run_cli(["dist", str(a), str(b), "--solver", solver, "--epsilon", "0.05", "--breakdown", str(bd)]) == 0
+    printed = float(capsys.readouterr().out)
+    total = np.array([float(r["total"]) for r in read_rows(bd)]).reshape(rows, cols)
+    assert ground_cost.transport(ot_core.CostMatrix(total), solver, 0.05)[1] == printed
 
 
 def test_dist_nonfinite_weight_is_a_data_error(tmp_path, capsys):
@@ -358,7 +378,7 @@ def test_lp_failure_is_numerical_failure(tmp_path, capsys, monkeypatch):
 
 def test_other_errors_are_not_reported_as_numerical_failure(tmp_path, capsys, monkeypatch):
     a = gen_topk_file(tmp_path, "a.plds", 0.0, 1)
-    monkeypatch.setattr(cli, "decision_aware_distance", _raise(RuntimeError("not numerical")))
+    monkeypatch.setattr(ground_cost, "transport", _raise(RuntimeError("not numerical")))
     with pytest.raises(RuntimeError, match="not numerical"):
         run_cli(["dist", str(a), str(a)])
     assert "numerical failure" not in capsys.readouterr().err

@@ -14,7 +14,9 @@ from ptodist.ground_cost import (
     component_matrices,
     decision_aware_distance,
     pairwise_cost_matrix,
+    transport,
 )
+from ptodist.ot_core import CostMatrix, Marginal, SinkhornConvergenceError, solve_exact, solve_sinkhorn
 from ptodist.tasks import objective_rows, oracle_batch, topk_task
 
 
@@ -287,6 +289,31 @@ def test_distance_nonnegative_and_solver_agreement(monkeypatch):
     monkeypatch.setattr(ground_cost, "component_matrices", no_cost)
     with pytest.raises(ValueError) as info:
         decision_aware_distance(d_a, d_b, w, solver="other")
+    assert str(info.value) == "solver must be 'exact' or 'sinkhorn', got 'other'"
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (6, 4)])
+def test_transport_solves_between_uniform_marginals(shape):
+    cost = CostMatrix(np.random.default_rng(29).uniform(0.0, 1.0, shape))
+    a, b = Marginal.uniform(shape[0]), Marginal.uniform(shape[1])
+    plan, value = transport(cost)
+    ref_plan, ref_value = solve_exact(cost, a, b)
+    assert np.array_equal(plan.matrix, ref_plan.matrix) and value == ref_value
+    plan, value = transport(cost, "sinkhorn", epsilon=0.05)
+    ref = solve_sinkhorn(cost, a, b, epsilon=0.05)
+    assert ref.converged
+    assert np.array_equal(plan.matrix, ref.plan.matrix) and value == ref.cost
+
+
+def test_transport_rejects_an_unconverged_sinkhorn_and_another_solver():
+    # 5 x 7 at epsilon 1e-4 is still 1.4e-2 off its marginals after the default 10 000 iterations
+    cost = CostMatrix(np.random.default_rng(2).uniform(0.0, 1.0, (5, 7)))
+    with pytest.raises(SinkhornConvergenceError) as info:
+        transport(cost, "sinkhorn", epsilon=1e-4)
+    assert str(info.value).startswith("Sinkhorn at epsilon 0.0001 did not converge: marginal violation ")
+    assert str(info.value).endswith(" after 10000 iterations")
+    with pytest.raises(ValueError) as info:
+        transport(cost, "other")
     assert str(info.value) == "solver must be 'exact' or 'sinkhorn', got 'other'"
 
 

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _reference import pooled_distance_broadcast, random_coupling
+from _reference import pooled_cost_broadcast, pooled_distance_broadcast, random_coupling
 from ptodist import datagen, transfer
 from ptodist.datagen import PtODataset, gen_grid, gen_inventory, gen_topk, score_probs
 from ptodist.ground_cost import GroundCostWeights, decision_aware_distance, pairwise_cost_matrix
@@ -257,6 +257,12 @@ def test_feature_label_pooled_distance_matches_broadcast_reference():
         for batch in (1, 2, 3):
             got = feature_label_pooled_distances(sources[:batch], target)
             assert got == [pooled_distance_broadcast(s, target, 0.5, 0.5) for s in sources[:batch]]
+    # the cost alone, also at repro's default size: two 50 x 25 top-K datasets
+    families.append(([gen_topk(0.0, n_instances=50, seed=8)], gen_topk(0.65, n_instances=50, seed=10)))
+    for sources, target in families:
+        for s in sources:
+            got = transfer._pooled_cost(s.X.ravel(), s.Y.ravel(), target.X.ravel(), target.Y.ravel())
+            assert np.array_equal(got, pooled_cost_broadcast(s, target, 0.5, 0.5))
 
 
 def test_feature_label_pooled_distances_need_equal_pooled_sizes(monkeypatch):

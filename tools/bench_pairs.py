@@ -7,11 +7,12 @@
 Each pair runs ``bench/run.py`` once in each tree, at one seed per pair
 (``--first-seed`` + pair index), one process at a time; the parent runs first
 in odd pairs and the change first in even ones. A run that exits non-zero
-ends the pairs: its side, tree, pair, seed and exit code and the last 10
-lines of its stderr are reported, no record is written, and the exit code is
-2. Each tree runs its own ``bench/`` on its own ``src/``, so both sides must
-hold the same bench code:
-two trees whose ``bench/`` files differ (by sha256; ``bench/out/`` and
+ends the pairs, and so does one whose last line of output is not a result or
+whose result does not read ``"correct": true``: its side, tree, pair, seed,
+what was wrong (the exit code, say) and the last 10 lines of its stderr are
+reported, no record is written, and the exit code is 2. Each tree runs its
+own ``bench/`` on its own ``src/``, so both sides must hold the same bench
+code: two trees whose ``bench/`` files differ (by sha256; ``bench/out/`` and
 ``__pycache__`` are left out) are refused before any run.
 The workload's section of ``--out`` is replaced (other workloads are kept):
 every run's end-to-end metrics, and per metric each side's median and
@@ -63,13 +64,30 @@ def differing_bench_files(parent, change):
     return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
 
 
+class BadRun(Exception):
+    """A run that gives no metrics to compare: what was wrong with it, and its stderr."""
+
+    def __init__(self, what, stderr):
+        super().__init__(what)
+        self.stderr = stderr
+
+
 def run_bench(tree, workload, seed, seconds):
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=True)
-    result = json.loads(proc.stdout.splitlines()[-1])
-    return dict({m: result["metrics"][m]["value"] for m in METRICS},
-                failed=result["failed"], attempted=result["attempted"], correct=result["correct"])
+    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    if proc.returncode:
+        raise BadRun(f"exit {proc.returncode}", proc.stderr)
+    try:
+        result = json.loads(proc.stdout.splitlines()[-1])
+        run = dict({m: result["metrics"][m]["value"] for m in METRICS},
+                   failed=result["failed"], attempted=result["attempted"], correct=result["correct"])
+    except (IndexError, KeyError, TypeError, ValueError) as exc:
+        raise BadRun(f"its last line of output is not a result ({type(exc).__name__}: {exc})",
+                     proc.stderr) from None
+    if run["correct"] is not True:
+        raise BadRun(f"it reads \"correct\": {json.dumps(run['correct'])}", proc.stderr)
+    return run
 
 
 def summarize(runs):
@@ -134,10 +152,10 @@ def main(argv=None) -> int:
         for side in order:
             try:
                 runs[str(pair)][side] = run_bench(trees[side], args.workload, seed, args.seconds)
-            except subprocess.CalledProcessError as exc:
+            except BadRun as exc:
                 tail = "\n".join(exc.stderr.splitlines()[-10:])
                 print(f"bench_pairs: the {side} run in {trees[side]} failed (pair {pair}, seed {seed}): "
-                      f"exit {exc.returncode}; the last lines of its stderr:\n{tail}", file=sys.stderr)
+                      f"{exc}; the last lines of its stderr:\n{tail}", file=sys.stderr)
                 return 2
         print(f"{args.workload} pair {pair}: "
               + ", ".join(f"{side} run_s {runs[str(pair)][side]['run_s']:.3f}" for side in order),
