@@ -48,15 +48,17 @@ def _positive_finite(text: str) -> float:
     return value
 
 
-def _at_least_one(text: str) -> int:
-    """An option value that must be an integer of at least 1: a usage error otherwise."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
-    return value
+def _at_least(least: int):
+    """An option type: an integer of at least ``least``, a usage error otherwise."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {text!r}")
+        return value
+    return parse
 
 
 def _positive_finite_list(text: str) -> list[float]:
@@ -320,17 +322,17 @@ def build_parser() -> _Parser:
                        help="generate a synthetic dataset file")
     p.add_argument("--family", required=True, choices=list(_GENERATORS))
     p.add_argument("--gamma", type=float, help="topk: target-shift parameter")
-    p.add_argument("--instances", dest="n_instances", type=_at_least_one)
-    p.add_argument("--resources", dest="n_resources", type=int, help="topk: resources per instance")
-    p.add_argument("--k", type=int, help="topk: selection size")
-    p.add_argument("--p", type=int, help="grid: side length")
-    p.add_argument("--classes", dest="n_classes", type=int, help="grid: number of cell classes")
+    p.add_argument("--instances", dest="n_instances", type=_at_least(1))
+    p.add_argument("--resources", dest="n_resources", type=_at_least(1), help="topk: resources per instance")
+    p.add_argument("--k", type=_at_least(1), help="topk: selection size")
+    p.add_argument("--p", type=_at_least(2), help="grid: side length")
+    p.add_argument("--classes", dest="n_classes", type=_at_least(1), help="grid: number of cell classes")
     p.add_argument("--cost-seed", dest="class_cost_seed", type=int, default=0, help="grid: class-cost table seed")
     p.add_argument("--map-seed", type=int, default=0, help="grid: class-map seed")
     p.add_argument("--length-weight", type=float, help="grid: per-cell length penalty")
     p.add_argument("--mean-seed", dest="mean_shift_seed", type=int, default=0, help="inventory: feature-mean seed")
     p.add_argument("--theta-seed", type=int, default=0, help="inventory: score-matrix seed")
-    p.add_argument("--features", dest="n_features", type=_at_least_one, help="inventory: feature dimension")
+    p.add_argument("--features", dest="n_features", type=_at_least(1), help="inventory: feature dimension")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("dist", parents=[weights, mode], help="decision-aware distance between two dataset files")

@@ -16,7 +16,6 @@ from .tasks import (
     TaskDefinition,
     feasible_rows,
     inventory_task,
-    is_finite_number,
     objective_rows,
     oracle_batch,
     shortest_path_task,
@@ -128,33 +127,26 @@ def gen_topk(
     return PtODataset(task, X, Y, oracle_batch(task, Y), provenance)
 
 
-def _value_noise_field(rng: np.random.Generator, p: int) -> np.ndarray:
-    # multi-scale bilinear value noise: spatially coherent terrain-like regions
-    f = np.zeros((p, p))
-    for scale in (2, 4, 8):
-        g = rng.normal(size=(scale + 1, scale + 1))
+def _class_maps(rng: np.random.Generator, p: int, n_classes: int, n: int) -> np.ndarray:
+    """``n`` class maps (n, p, p), each its own multi-scale bilinear value noise
+    (spatially coherent terrain-like regions) cut into ``n_classes`` classes at
+    its own quantiles; one draw, the stream of ``n`` maps drawn one at a time."""
+    f = np.zeros((n, p, p))
+    for scale, g in zip((2, 4, 8), np.split(rng.normal(size=(n, 9 + 25 + 81)), [9, 9 + 25], axis=1)):
+        g = g.reshape(n, scale + 1, scale + 1)
         xs = np.linspace(0.0, scale, p)
         xi = np.minimum(np.floor(xs).astype(int), scale - 1)
         t = xs - xi
-        a = g[np.ix_(xi, xi)]
-        b = g[np.ix_(xi, xi + 1)]
-        c = g[np.ix_(xi + 1, xi)]
-        d = g[np.ix_(xi + 1, xi + 1)]
+        r, c = xi[:, None], xi[None, :]
         f += (
-            a * (1 - t)[None, :] * (1 - t)[:, None]
-            + b * t[None, :] * (1 - t)[:, None]
-            + c * (1 - t)[None, :] * t[:, None]
-            + d * t[None, :] * t[:, None]
+            g[:, r, c] * (1 - t)[None, :] * (1 - t)[:, None]
+            + g[:, r, c + 1] * t[None, :] * (1 - t)[:, None]
+            + g[:, r + 1, c] * (1 - t)[None, :] * t[:, None]
+            + g[:, r + 1, c + 1] * t[None, :] * t[:, None]
         ) / scale
-    return f
-
-
-def _class_map(rng: np.random.Generator, p: int, n_classes: int) -> np.ndarray:
-    field_vals = _value_noise_field(rng, p)
-    if n_classes == 1:
-        return np.zeros((p, p), dtype=int)
-    cuts = np.quantile(field_vals, np.linspace(0.0, 1.0, n_classes + 1)[1:-1])
-    return np.digitize(field_vals, cuts)
+    cuts = np.quantile(f.reshape(n, p * p), np.linspace(0.0, 1.0, n_classes + 1)[1:-1], axis=1)
+    # a value's class is the number of its map's cuts at or below it, as np.digitize counts
+    return (cuts[:, :, None, None] <= f).sum(axis=0)
 
 
 GRID_COST_RANGE = (0.8, 9.2)  # the interval the grid's class costs are drawn from
@@ -179,8 +171,7 @@ def gen_grid(
     if n_classes < 1:
         raise ValueError("need at least one cell class")
     class_costs = np.random.default_rng(class_cost_seed).uniform(*GRID_COST_RANGE, n_classes)
-    map_rng = np.random.default_rng(map_seed)
-    maps = np.array([_class_map(map_rng, p, n_classes) for _ in range(n_instances)], dtype=int)
+    maps = _class_maps(np.random.default_rng(map_seed), p, n_classes, n_instances)
     X = (maps / max(n_classes - 1, 1)).reshape(n_instances, p * p)
     Y = class_costs[maps].reshape(n_instances, p * p)
     provenance = {
@@ -284,8 +275,8 @@ def read_dataset(path) -> PtODataset:
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        try:
-            rec = json.loads(line)
+        try:  # every number as a float, so one type test per field; finiteness is the dataset's check
+            rec = json.loads(line, parse_int=float)
         except json.JSONDecodeError as exc:
             raise _line_error(path, lineno, f"invalid JSON: {exc}") from exc
         if not isinstance(rec, dict):
@@ -293,8 +284,8 @@ def read_dataset(path) -> PtODataset:
         for key in ("x", "y", "z"):
             if key not in rec:
                 raise _line_error(path, lineno, f"sample record missing field {key!r}")
-            if not (rec[key] and isinstance(rec[key], list) and all(map(is_finite_number, rec[key]))):
-                raise _line_error(path, lineno, f"field {key!r} must be a nonempty list of finite numbers")
+            if not (isinstance(rec[key], list) and set(map(type, rec[key])) == {float}):
+                raise _line_error(path, lineno, f"field {key!r} must be a nonempty list of numbers")
             if records and len(rec[key]) != len(records[0][key]):
                 raise _line_error(path, lineno, f"field {key!r} has {len(rec[key])} values, "
                                                 f"line {linenos[0]} has {len(records[0][key])}")

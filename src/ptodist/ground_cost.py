@@ -85,15 +85,11 @@ def decision_aware_distance(
     dataset,
     dataset_prime,
     w: GroundCostWeights,
-    solver: str = "exact",
-    epsilon: float = 0.01,
     mode: str = "as-written",
 ) -> float:
     """Optimal-transport dataset distance under the decision-aware ground
-    cost: the value of :func:`transport` on :func:`pairwise_cost_matrix`."""
-    if solver not in ("exact", "sinkhorn"):
-        raise ValueError(f"solver must be 'exact' or 'sinkhorn', got {solver!r}")
-    return transport(pairwise_cost_matrix(dataset, dataset_prime, w, mode), solver, epsilon)[1]
+    cost: the exact value of :func:`transport` on :func:`pairwise_cost_matrix`."""
+    return transport(pairwise_cost_matrix(dataset, dataset_prime, w, mode))[1]
 
 
 def transport(cost: CostMatrix, solver: str = "exact", epsilon: float = 0.01):

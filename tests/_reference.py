@@ -87,13 +87,20 @@ def component_matrices_by_row(task, XA, YA, ZA, XB, YB, ZB, mode):
 
 
 def generated_rows(family, n_instances, **kw):
-    """(X, Y) of ``gen_topk`` or ``gen_inventory``, drawn one instance at a time."""
+    """(X, Y) of ``gen_topk``, ``gen_grid`` or ``gen_inventory``, drawn one instance at a time."""
     rows = []
     if family == "topk":
         rng = np.random.default_rng(kw["seed"])
         for _ in range(n_instances):
             x = np.sort(rng.uniform(-1.0, 1.0, kw["n_resources"]))
             rows.append((x, 10.0 * (x**3 - kw["gamma"] * x)))
+    elif family == "grid":
+        n_classes = kw["n_classes"]
+        class_costs = np.random.default_rng(kw["class_cost_seed"]).uniform(0.8, 9.2, n_classes)
+        rng = np.random.default_rng(kw["map_seed"])
+        for _ in range(n_instances):
+            m = _class_map(rng, kw["p"], n_classes)
+            rows.append(((m / max(n_classes - 1, 1)).ravel(), class_costs[m].ravel()))
     else:
         mu = np.random.default_rng(kw["mean_shift_seed"]).uniform(-0.5, 0.5, kw["n_features"])
         theta = np.random.default_rng(kw["theta_seed"]).normal(size=(kw["n_features"], 5))
@@ -102,6 +109,40 @@ def generated_rows(family, n_instances, **kw):
             x = rng.normal(mu, 1.0)
             rows.append((x, score_probs((theta.T @ x) ** 2)))
     return [np.stack(v) for v in zip(*rows)]
+
+
+def _value_noise_field(rng: np.random.Generator, p: int) -> np.ndarray:
+    # multi-scale bilinear value noise: spatially coherent terrain-like regions
+    f = np.zeros((p, p))
+    for scale in (2, 4, 8):
+        g = rng.normal(size=(scale + 1, scale + 1))
+        xs = np.linspace(0.0, scale, p)
+        xi = np.minimum(np.floor(xs).astype(int), scale - 1)
+        t = xs - xi
+        a = g[np.ix_(xi, xi)]
+        b = g[np.ix_(xi, xi + 1)]
+        c = g[np.ix_(xi + 1, xi)]
+        d = g[np.ix_(xi + 1, xi + 1)]
+        f += (
+            a * (1 - t)[None, :] * (1 - t)[:, None]
+            + b * t[None, :] * (1 - t)[:, None]
+            + c * (1 - t)[None, :] * t[:, None]
+            + d * t[None, :] * t[:, None]
+        ) / scale
+    return f
+
+
+def _class_map(rng: np.random.Generator, p: int, n_classes: int) -> np.ndarray:
+    field_vals = _value_noise_field(rng, p)
+    if n_classes == 1:
+        return np.zeros((p, p), dtype=int)
+    cuts = np.quantile(field_vals, np.linspace(0.0, 1.0, n_classes + 1)[1:-1])
+    return np.digitize(field_vals, cuts)
+
+
+def class_maps_one_at_a_time(rng, p, n_classes, n):
+    """``n`` grid class maps (n, p, p), drawn and cut one map at a time."""
+    return np.array([_class_map(rng, p, n_classes) for _ in range(n)], dtype=int).reshape(n, p, p)
 
 
 def log_domain_sinkhorn(C, a, b, epsilon, max_iter, tol):

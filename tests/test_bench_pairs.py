@@ -1,5 +1,6 @@
 """Tests for the verdicts of tools/bench_pairs.py, on synthetic runs."""
 
+import argparse
 import importlib.util
 import json
 from pathlib import Path
@@ -146,3 +147,24 @@ def test_a_malformed_or_incorrect_run_is_reported_and_writes_no_record(tmp_path,
     assert f"the change run in {change} failed (pair 1, seed 7): {what}" in err
     assert err.endswith("; the last lines of its stderr:\nerr-tail\n")
     assert not out.exists()
+
+
+def test_each_pair_prints_every_end_to_end_metric_of_both_runs(tmp_path, monkeypatch, capsys):
+    values = {"parent": 2.0, "change": 1.0}
+    def fake_run(tree, workload, seed, seconds):
+        side = Path(tree).name
+        return dict({m: values[side] + i / 8 for i, m in enumerate(bench_pairs.METRICS)},
+                    failed=0, attempted=10, correct=True)
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: argparse.Namespace(stdout="abc\n"))
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--workload", "bound",
+            "--pairs", "2", "--first-seed", "7", "--out", str(out), "--describe", "d", "--claim", "c"]
+    assert bench_pairs.main(argv) == 0
+    def side(name):
+        return name + " " + ", ".join(f"{m} {values[name] + i / 8:.4g}" for i, m in enumerate(bench_pairs.METRICS))
+    assert capsys.readouterr().err.splitlines() == [
+        f"bound pair 1: {side('parent')}; {side('change')}",  # the parent runs first in odd pairs
+        f"bound pair 2: {side('change')}; {side('parent')}",
+    ]
+    assert json.loads(out.read_text())["workloads"]["bound"]["runs"]["1"]["change"] == fake_run("change", "bound", 7, 20)

@@ -64,6 +64,23 @@ def test_gen_size_below_one_is_a_usage_error(tmp_path, capsys, option, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("family, option, least", [
+    ("topk", "--resources", 1), ("topk", "--k", 1), ("grid", "--p", 2), ("grid", "--classes", 1)])
+def test_gen_size_below_its_least_is_a_usage_error(tmp_path, capsys, family, option, least):
+    out = tmp_path / "x.plds"
+    gamma = ["--gamma", "0.5"] if family == "topk" else []
+    base = ["gen", "--family", family, *gamma, "--instances", "2", "--out", str(out)]
+    for value in (str(least - 1), "-1"):
+        assert run_cli([*base, option, value]) == 1
+        assert capsys.readouterr().err.endswith(f"error: argument {option}: must be at least {least}, got '{value}'\n")
+        assert not out.exists()
+    assert run_cli([*base, option, str(least)]) == 0
+    # K > N stays the task's data error
+    if family == "topk":
+        assert run_cli([*base, "--resources", "2", "--k", "3"]) == 2
+        assert "need 1 <= K <= N, got K=3, N=2" in capsys.readouterr().err
+
+
 def test_gen_grid_and_inventory(tmp_path):
     grid = tmp_path / "g.plds"
     assert run_cli(["gen", "--family", "grid", "--p", "5", "--instances", "4",
@@ -673,3 +690,37 @@ def test_malformed_dataset_file_is_a_line_numbered_data_error(fuzz_files, data):
     assert code == 2, (action, where, value, err.getvalue())
     assert f"{bad}: line " in err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+def _with_features(tmp_path, values_text):
+    """A 3-resource top-K file, and a copy with line 3's features replaced by ``values_text``, raw JSON."""
+    path = gen_topk_file(tmp_path, "good.plds", 0.5, 3, instances=3, resources=3)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[2])
+    lines[2] = '{"x": %s, "y": %s, "z": %s}' % (values_text, json.dumps(rec["y"]), json.dumps(rec["z"]))
+    bad = tmp_path / "bad.plds"
+    bad.write_text("\n".join(lines) + "\n")
+    return path, bad
+
+
+@pytest.mark.parametrize("values, reason", [
+    *[(f"[0.5, {v}, 0.1]", "field 'x' must be a nonempty list of numbers")
+      for v in ("true", '"0.5"', "null", "[0.5]", '{"a": 0.5}')],
+    ("[]", "field 'x' must be a nonempty list of numbers"),
+    *[(f"[0.5, {v}, 0.1]", "sample has a non-finite value")
+      for v in ("NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400, "-1" + "0" * 400)],
+], ids=["bool", "string", "null", "nested", "object", "empty", "nan", "inf", "-inf", "1e999", "10**400",
+        "-10**400"])
+def test_each_bad_sample_value_is_a_line_numbered_data_error(tmp_path, capsys, values, reason):
+    good, bad = _with_features(tmp_path, values)
+    assert run_cli(["dist", str(good), str(bad)]) == 2
+    assert capsys.readouterr().err == f"data error: {bad}: line 3: {reason}\n"
+
+
+def test_integer_sample_values_read_as_the_nearest_float(tmp_path):
+    for ints in ([3, -7, 2**53 + 1], [10**300, -(2**70 + 1), 12345678901234567890123456789]):
+        _, path = _with_features(tmp_path, json.dumps(ints))
+        assert read_dataset(path).X[1].tolist() == np.array(ints, dtype=float).tolist()
+    # the token -0 reads as the float it spells, -0.0
+    _, path = _with_features(tmp_path, "[-0, 0, 0.5]")
+    assert np.signbit(read_dataset(path).X[1]).tolist() == [True, False, False]

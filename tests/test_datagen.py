@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from _reference import generated_rows
+from _reference import class_maps_one_at_a_time, generated_rows
 from ptodist.datagen import (
+    _class_maps,
     DatasetFormatError,
     PtODataset,
     gen_grid,
@@ -105,6 +106,9 @@ def test_generators_match_per_instance_draws():
         (gen_topk(0.65, n_resources=25, n_instances=30, seed=4),
          generated_rows("topk", 30, gamma=0.65, n_resources=25, seed=4)),
     ]
+    for p, n_classes in ((12, 5), (5, 1), (7, 3)):
+        kw = dict(class_cost_seed=3, map_seed=8, p=p, n_classes=n_classes)
+        cases.append((gen_grid(n_instances=20, **kw), generated_rows("grid", 20, **kw)))
     for n_features in (1, 3, 5):
         kw = dict(mean_shift_seed=1, theta_seed=2, n_features=n_features, seed=4)
         cases.append((gen_inventory(n_instances=30, **kw), generated_rows("inventory", 30, **kw)))
@@ -112,6 +116,18 @@ def test_generators_match_per_instance_draws():
         # bit for bit: the batched draws and arithmetic are the per-instance ones
         assert np.array_equal(ds.X, X) and np.array_equal(ds.Y, Y)
         assert np.array_equal(ds.Z, np.stack([oracle_batch(ds.task, y[None])[0] for y in Y]))
+
+
+@pytest.mark.parametrize("p", [2, 3, 6, 12, 20])
+@pytest.mark.parametrize("n_classes", [1, 2, 5, 9])
+def test_class_maps_are_the_per_instance_maps(p, n_classes):
+    for n in (0, 1, 3, 20):
+        rng, ref_rng = np.random.default_rng(p * 100 + n_classes), np.random.default_rng(p * 100 + n_classes)
+        maps, ref = _class_maps(rng, p, n_classes, n), class_maps_one_at_a_time(ref_rng, p, n_classes, n)
+        # bit for bit, in dtype, and leaving the generator where n one-at-a-time maps leave it
+        assert maps.dtype == ref.dtype and maps.shape == (n, p, p)
+        assert np.array_equal(maps, ref)
+        assert rng.normal() == ref_rng.normal()
 
 
 def test_gen_topk_labeling_and_sorting():
@@ -324,7 +340,7 @@ def test_read_errors_for_values_and_json_types_name_the_line(tmp_path):
         read_with(1, json.dumps({**header, "task": {"kind": "inventory", "params": bad_params}}),
                   f"line 1: {match}")
     read_with(3, "[1.0]", r"line 3: sample record must be a JSON object")
-    read_with(3, json.dumps({**rec, "x": [float("nan")]}), r"line 3: field 'x' must be a nonempty list")
+    read_with(3, json.dumps({**rec, "x": [float("nan")]}), r"line 3: sample has a non-finite value")
     read_with(3, json.dumps({**rec, "x": rec["x"] + [0.5]}), r"line 3: field 'x' has 2 values, line 2 has 1")
     read_with(3, json.dumps({**rec, "y": [0.9] * 5}), r"line 3: sample labels are not a probability vector")
     read_with(4, json.dumps({**rec, "z": [-1.0]}), r"line 4: sample carries an infeasible decision")

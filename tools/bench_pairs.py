@@ -10,7 +10,8 @@ in odd pairs and the change first in even ones. A run that exits non-zero
 ends the pairs, and so does one whose last line of output is not a result or
 whose result does not read ``"correct": true``: its side, tree, pair, seed,
 what was wrong (the exit code, say) and the last 10 lines of its stderr are
-reported, no record is written, and the exit code is 2. Each tree runs its
+reported, no record is written, and the exit code is 2. After each pair, every
+end-to-end metric of both runs is printed to stderr. Each tree runs its
 own ``bench/`` on its own ``src/``, so both sides must hold the same bench
 code: two trees whose ``bench/`` files differ (by sha256; ``bench/out/`` and
 ``__pycache__`` are left out) are refused before any run.
@@ -157,9 +158,9 @@ def main(argv=None) -> int:
                 print(f"bench_pairs: the {side} run in {trees[side]} failed (pair {pair}, seed {seed}): "
                       f"{exc}; the last lines of its stderr:\n{tail}", file=sys.stderr)
                 return 2
-        print(f"{args.workload} pair {pair}: "
-              + ", ".join(f"{side} run_s {runs[str(pair)][side]['run_s']:.3f}" for side in order),
-              file=sys.stderr)
+        print(f"{args.workload} pair {pair}: " + "; ".join(  # each side in the order it ran
+            side + " " + ", ".join(f"{m} {runs[str(pair)][side][m]:.4g}" for m in METRICS) for side in order),
+            file=sys.stderr)
 
     out = Path(args.out)
     record = json.loads(out.read_text(encoding="utf-8")) if out.is_file() else {}
