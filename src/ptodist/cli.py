@@ -113,12 +113,22 @@ def _read_same_task(paths) -> list[PtODataset]:
     return datasets
 
 
+def _weights(args) -> GroundCostWeights:
+    """The ``--alpha-*`` options as ground-cost weights; weights that are not
+    a convex combination are a usage error, reported before any file is read."""
+    try:
+        return GroundCostWeights(args.alpha_x, args.alpha_y, args.alpha_w)
+    except ValueError as exc:
+        print(f"{args.command}: error: --alpha-x, --alpha-y, --alpha-w: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE) from None
+
+
 def cmd_dist(args) -> int:
+    w = _weights(args)
     a, b = _read_same_task([args.dataset_a, args.dataset_b])
-    w = GroundCostWeights(args.alpha_x, args.alpha_y, args.alpha_w)
     terms = ground_cost.component_matrices(a, b, args.mode)
     cost = ground_cost.CostMatrix(ground_cost._weighted(w, *terms))
-    print(fmt(ground_cost.transport(cost, args.solver, args.epsilon)[1]))
+    distance = ground_cost.transport(cost, args.solver, args.epsilon)[1]
     if args.breakdown:
         # one row per pair (i, j), i-major; totals are the entries of the
         # cost matrix the distance was solved on
@@ -128,12 +138,13 @@ def cmd_dist(args) -> int:
             ["i", "j", "feature_term", "label_term", "decision_term", "total"],
             zip(i, j, *(t.ravel().tolist() for t in (*terms, cost.entries))),
         )
+    print(fmt(distance))  # after the breakdown, so a failed write prints nothing
     return EXIT_OK
 
 
 def cmd_transfer(args) -> int:
+    w = _weights(args)
     target, *sources = _read_same_task([args.target, *args.source])
-    w = GroundCostWeights(args.alpha_x, args.alpha_y, args.alpha_w)
     records = transfer.transfer_records(target.task, sources, target, budget=args.budget, seed=args.seed)
     rows = [
         (path, args.target, decision_aware_distance(source, target, w, mode=args.mode),
@@ -339,7 +350,7 @@ def build_parser() -> _Parser:
     p.add_argument("dataset_a")
     p.add_argument("dataset_b")
     p.add_argument("--solver", choices=["exact", "sinkhorn"], default="exact")
-    p.add_argument("--epsilon", type=float, default=0.01)
+    p.add_argument("--epsilon", type=_positive_finite, default=0.01)
     p.add_argument("--breakdown", default=None, help="write per-pair cost breakdown CSV here")
     p.set_defaults(func=cmd_dist)
 
@@ -347,14 +358,14 @@ def build_parser() -> _Parser:
                        help="regret transferability of sources onto a target")
     p.add_argument("--source", action="append", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--budget", type=int, default=5000)
+    p.add_argument("--budget", type=_at_least(1), default=5000)
     p.set_defaults(func=cmd_transfer)
 
     p = sub.add_parser("sweep", parents=[mode, seeded], help="R-squared over the ground-cost weight simplex")
     p.add_argument("--source", action="append", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--resolution", type=int, default=10)
-    p.add_argument("--budget", type=int, default=5000)
+    p.add_argument("--resolution", type=_at_least(1), default=10)
+    p.add_argument("--budget", type=_at_least(1), default=5000)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bound", parents=[seeded], help="empirical adaptation-bound check")
@@ -364,7 +375,7 @@ def build_parser() -> _Parser:
                    help="comma-separated lambda grid, each value positive and finite")
     p.add_argument("--k1", type=_positive_finite, default=None)
     p.add_argument("--k2", type=_positive_finite, default=None)
-    p.add_argument("--budget", type=int, default=3000)
+    p.add_argument("--budget", type=_at_least(1), default=3000)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("repro", help="run the full experiment pipelines into one directory")

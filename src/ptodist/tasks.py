@@ -407,9 +407,9 @@ def empirical_lipschitz(task: TaskDefinition, *, trials: int = 20_000, seed: int
     A measurement of the decision-quality Lipschitz constants over randomized
     bounded-norm label pairs, not a proof. Labels of the task's width are drawn
     in [-LIPSCHITZ_SCALE, LIPSCHITZ_SCALE], in [0, LIPSCHITZ_SCALE] for
-    nonnegative labels, and normalized for simplex labels. Trials run in fixed
-    chunks, one oracle call each, and give the value of a loop over one trial
-    at a time, bit for bit.
+    nonnegative labels, and normalized for simplex labels. Trials run in blocks
+    of about ``_LIPSCHITZ_BLOCK`` label values, one oracle call each, and give
+    the value of a loop over one trial at a time, bit for bit.
     """
     best = 0.0
     for ratios in _lipschitz_ratios(task, trials, seed):
@@ -417,24 +417,25 @@ def empirical_lipschitz(task: TaskDefinition, *, trials: int = 20_000, seed: int
     return best
 
 
-# Trials per oracle call of the probe: the inventory oracle holds (rows, 3, 6)
-# sums, (rows, 12) candidate costs and the (rows, 5) stocking costs of the
-# stationary points inside their segments; at 100 trials (200 rows) the probe
-# peaks at 1.0 MB under tracemalloc, below what the rest of a bound check
-# already takes.
-_LIPSCHITZ_CHUNK = 100
+# Label values per oracle call of the probe, so a block's temporaries stay
+# bounded whatever the label width: inventory and top-K(5) take 409 trials a
+# call (818 rows; the inventory oracle's largest temporary, its (rows, 3, 6)
+# sums, is 118 KB), a 12 x 12 grid takes 14.
+_LIPSCHITZ_BLOCK = 2048
 
 
 def _lipschitz_ratios(task: TaskDefinition, trials: int, seed: int):
-    """The probe's ratios in trial order, one array per chunk of trials; 0 where
+    """The probe's ratios in trial order, one array per block of trials; 0 where
     both label gaps vanish. Each trial is the same arithmetic as a one-trial loop."""
     rng = np.random.default_rng(seed)
     low = 0.0 if task.label_domain == "nonnegative" else -LIPSCHITZ_SCALE
-    for start in range(0, trials, _LIPSCHITZ_CHUNK):
-        n = min(_LIPSCHITZ_CHUNK, trials - start)
+    block = max(1, _LIPSCHITZ_BLOCK // task.label_dim)
+    for start in range(0, trials, block):
+        n = min(block, trials - start)
         draws = rng.uniform(low, LIPSCHITZ_SCALE, size=(n, 4, task.label_dim))  # the stream of n (4, label_dim) draws
         if task.label_domain == "simplex":
-            draws = np.abs(draws) / np.abs(draws).sum(axis=-1, keepdims=True)
+            draws = np.abs(draws)
+            draws /= draws.sum(axis=-1, keepdims=True)
         y, y_star, z, z_star = draws.transpose(1, 0, 2)
         # [y; z] decided in one oracle call and scored under [y*; z*]
         q = objective_rows(task, oracle_batch(task, np.concatenate([y, z])), np.concatenate([y_star, z_star]))

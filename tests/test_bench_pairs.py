@@ -3,6 +3,7 @@
 import argparse
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -126,6 +127,17 @@ RESULT = json.dumps({"correct": True, "attempted": 10, "failed": 0,
                      "metrics": {m: {"value": 1.0} for m in bench_pairs.METRICS}})
 
 
+def run_script(rounds):
+    """A stub ``bench/run.py`` that writes a result file of ``rounds`` rounds
+    (none for ``None``) and prints a good result."""
+    write = "" if rounds is None else (
+        "import sys\nfrom pathlib import Path\nout = Path('bench/out')\nout.mkdir(exist_ok=True)\n"
+        "args = dict(zip(sys.argv[1::2], sys.argv[2::2]))\n"
+        "(out / f\"result-{args['--workload']}-seed{args['--seed']}-trace0.json\").write_text("
+        f"{json.dumps({'round_s': [0.1] * rounds})!r})\n")
+    return write + f"print('progress')\nprint({RESULT!r})\n"
+
+
 @pytest.mark.parametrize("last_line, what", [
     ("no result", "its last line of output is not a result (JSONDecodeError: "),
     (RESULT[:-1], "its last line of output is not a result (JSONDecodeError: "),
@@ -135,7 +147,7 @@ RESULT = json.dumps({"correct": True, "attempted": 10, "failed": 0,
 def test_a_malformed_or_incorrect_run_is_reported_and_writes_no_record(tmp_path, monkeypatch, capsys,
                                                                        last_line, what):
     # the change's run is bad; the parent's, which runs first, is good
-    parent = make_tree(tmp_path / "parent", {"run.py": f"print('progress')\nprint({RESULT!r})\n"})
+    parent = make_tree(tmp_path / "parent", {"run.py": run_script(3)})
     change = make_tree(tmp_path / "change", {
         "run.py": f"import sys\nprint('err-tail', file=sys.stderr)\nprint({last_line!r})\n"})
     monkeypatch.setattr(bench_pairs, "differing_bench_files", lambda *trees: [])  # the stubs differ
@@ -154,7 +166,7 @@ def test_each_pair_prints_every_end_to_end_metric_of_both_runs(tmp_path, monkeyp
     def fake_run(tree, workload, seed, seconds):
         side = Path(tree).name
         return dict({m: values[side] + i / 8 for i, m in enumerate(bench_pairs.METRICS)},
-                    failed=0, attempted=10, correct=True)
+                    failed=0, attempted=10, correct=True, rounds=int(10 * values[side]))
     monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
     monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: argparse.Namespace(stdout="abc\n"))
     out = tmp_path / "BENCH.json"
@@ -162,9 +174,43 @@ def test_each_pair_prints_every_end_to_end_metric_of_both_runs(tmp_path, monkeyp
             "--pairs", "2", "--first-seed", "7", "--out", str(out), "--describe", "d", "--claim", "c"]
     assert bench_pairs.main(argv) == 0
     def side(name):
-        return name + " " + ", ".join(f"{m} {values[name] + i / 8:.4g}" for i, m in enumerate(bench_pairs.METRICS))
+        return (name + " " + ", ".join(f"{m} {values[name] + i / 8:.4g}" for i, m in enumerate(bench_pairs.METRICS))
+                + f", rounds {int(10 * values[name])}")
     assert capsys.readouterr().err.splitlines() == [
         f"bound pair 1: {side('parent')}; {side('change')}",  # the parent runs first in odd pairs
         f"bound pair 2: {side('change')}; {side('parent')}",
     ]
     assert json.loads(out.read_text())["workloads"]["bound"]["runs"]["1"]["change"] == fake_run("change", "bound", 7, 20)
+
+
+def test_each_run_records_its_round_count(tmp_path, monkeypatch, capsys):
+    # the runs' result files give 4 and 6 rounds; the record keeps each with its run
+    parent = make_tree(tmp_path / "parent", {"run.py": run_script(4)})
+    change = make_tree(tmp_path / "change", {"run.py": run_script(6)})
+    monkeypatch.setattr(bench_pairs, "differing_bench_files", lambda *trees: [])  # the stubs differ
+    run = bench_pairs.subprocess.run  # the stub trees are no git clones: only `git rev-parse` is faked
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda argv, **kwargs: argparse.Namespace(stdout="abc\n")
+                        if argv[0] == "git" else run(argv, **kwargs))
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "bound", "--pairs", "2",
+            "--first-seed", "7", "--out", str(out), "--describe", "d", "--claim", "c", "--seconds", "1"]
+    assert bench_pairs.main(argv) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert [re.findall(r"(parent|change) [^;]*, rounds (\d+)", line) for line in lines] == [
+        [("parent", "4"), ("change", "6")], [("change", "6"), ("parent", "4")]]  # the parent first in odd pairs
+    runs = json.loads(out.read_text())["workloads"]["bound"]["runs"]
+    assert [(r["seed"], r["parent"]["rounds"], r["change"]["rounds"]) for r in runs.values()] == [(7, 4, 6), (8, 4, 6)]
+
+
+def test_a_run_without_a_result_file_is_reported_and_writes_no_record(tmp_path, monkeypatch, capsys):
+    parent = make_tree(tmp_path / "parent", {"run.py": run_script(None)})
+    change = make_tree(tmp_path / "change", {"run.py": run_script(4)})
+    monkeypatch.setattr(bench_pairs, "differing_bench_files", lambda *trees: [])  # the stubs differ
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "bound", "--pairs", "2",
+            "--first-seed", "7", "--out", str(out), "--describe", "d", "--claim", "c", "--seconds", "1"]
+    assert bench_pairs.main(argv) == 2
+    path = parent / "bench" / "out" / "result-bound-seed7-trace0.json"
+    assert (f"the parent run in {parent} failed (pair 1, seed 7): its result file {path} gives no round count "
+            "(FileNotFoundError: ") in capsys.readouterr().err
+    assert not out.exists()

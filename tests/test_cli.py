@@ -157,10 +157,40 @@ def test_dist_breakdown_total_is_the_cost_the_distance_was_solved_on(tmp_path, c
     assert ground_cost.transport(ot_core.CostMatrix(total), solver, 0.05)[1] == printed
 
 
-def test_dist_nonfinite_weight_is_a_data_error(tmp_path, capsys):
+def test_dist_breakdown_that_cannot_be_written_prints_no_distance(tmp_path, capsys):
     a = gen_topk_file(tmp_path, "a.plds", 0.0, 1)
-    assert run_cli(["dist", str(a), str(a), "--alpha-x", "nan"]) == 2
-    assert capsys.readouterr().err == "error: ground-cost weights must be nonnegative and finite, got alpha_x=nan\n"
+    capsys.readouterr()
+    assert run_cli(["dist", str(a), str(a), "--breakdown", str(tmp_path)]) == 2  # a directory
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("data error: ")
+
+
+WEIGHTS = "--alpha-x, --alpha-y, --alpha-w: ground-cost weights"
+
+
+@pytest.mark.parametrize("command, given, message", [
+    ("transfer", ["--budget", "0"], "argument --budget: must be at least 1, got '0'"),
+    ("sweep", ["--budget", "0"], "argument --budget: must be at least 1, got '0'"),
+    ("bound", ["--budget", "0"], "argument --budget: must be at least 1, got '0'"),
+    ("sweep", ["--resolution", "0"], "argument --resolution: must be at least 1, got '0'"),
+    ("dist", ["--solver", "sinkhorn", "--epsilon", "-1"], "argument --epsilon: must be positive and finite, got '-1'"),
+    ("dist", ["--solver", "sinkhorn", "--epsilon", "nan"], "argument --epsilon: must be positive and finite, got 'nan'"),
+    ("dist", ["--solver", "sinkhorn", "--epsilon", "inf"], "argument --epsilon: must be positive and finite, got 'inf'"),
+    ("dist", ["--alpha-x", "2"], f"{WEIGHTS} must sum to 1, got 2.666666666666667"),
+    ("dist", ["--alpha-x", "nan"], f"{WEIGHTS} must be nonnegative and finite, got alpha_x=nan"),
+    ("transfer", ["--alpha-x", "2"], f"{WEIGHTS} must sum to 1, got 2.666666666666667"),
+], ids=["transfer-budget-0", "sweep-budget-0", "bound-budget-0", "sweep-resolution-0", "dist-epsilon--1",
+        "dist-epsilon-nan", "dist-epsilon-inf", "dist-alpha-x-2", "dist-alpha-x-nan", "transfer-alpha-x-2"])
+def test_numeric_option_out_of_range_is_a_usage_error(tmp_path, capsys, command, given, message):
+    # the dataset files do not exist: reading them first would be a data error (exit 2)
+    a, b, out = (str(tmp_path / name) for name in ("missing-a.plds", "missing-b.plds", "out.csv"))
+    files = [a, b] if command == "dist" else ["--source", a, "--target", b, "--out", out]
+    assert run_cli([command, *files, *given]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1].endswith(f"{command}: error: {message}")
+    assert captured.out == ""
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_dist_task_mismatch_exit_code(tmp_path):
@@ -303,18 +333,6 @@ def test_dist_sinkhorn_nonconvergence_is_numerical_failure(tmp_path, capsys):
     assert captured.err.startswith("numerical failure: Sinkhorn at epsilon 0.01 did not converge")
     assert "after 10000 iterations" in captured.err
     assert "Traceback" not in captured.err
-    assert captured.out == ""
-
-
-@pytest.mark.parametrize("epsilon", ["nan", "inf"])
-def test_dist_sinkhorn_nonfinite_epsilon_is_a_data_error(tmp_path, capsys, epsilon):
-    a = gen_topk_file(tmp_path, "a.plds", 0.0, 1)
-    b = gen_topk_file(tmp_path, "b.plds", 1.0, 2)
-    capsys.readouterr()
-    code = run_cli(["dist", str(a), str(b), "--solver", "sinkhorn", "--epsilon", epsilon])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err == f"error: epsilon must be positive and finite, got {epsilon}\n"
     assert captured.out == ""
 
 

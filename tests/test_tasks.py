@@ -453,10 +453,11 @@ def test_decision_quality_has_no_lipschitz_constant_where_the_decision_jumps(tas
     (shortest_path_task(4, neighborhood=4, count_start=False, length_weight=1.5), 16),
 ], ids=["topk", "inventory", "grid", "grid4"])
 def test_empirical_lipschitz_matches_one_trial_loop(task, label_dim):
-    # trial counts on both sides of the chunk edges; a run of n trials is the
-    # first n trials of a longer one. The probe reads the width from the task.
+    # trial counts on both sides of the first block edge; a run of n trials is
+    # the first n trials of a longer one. The probe reads the width from the task.
     reference = lipschitz_ratios_by_trial(task, label_dim, 10.0, 2345, 5)
-    for trials in (1, 99, 100, 101, 2345):
+    block = tasks._LIPSCHITZ_BLOCK // label_dim
+    for trials in (1, block - 1, block, block + 1, 2345):
         ratios = np.concatenate(list(tasks._lipschitz_ratios(task, trials, 5)))
         assert np.array_equal(ratios, reference[:trials]), trials
         assert empirical_lipschitz(task, trials=trials, seed=5) == reference[:trials].max()
@@ -464,15 +465,18 @@ def test_empirical_lipschitz_matches_one_trial_loop(task, label_dim):
 
 
 def test_empirical_lipschitz_memory_stays_flat():
-    # the probe's peak is one chunk's oracle temporaries: 1.0 MB at 100 trials
-    # a chunk, 1.6 MB at 500 and 30 MB with all 20 000 trials in one call
-    tracemalloc.start()
-    try:
-        empirical_lipschitz(inventory_task())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2_000_000
+    # the probe's peak is one block's oracle temporaries, whatever the label
+    # width. Under tracemalloc the inventory probe peaks at 1.5 MB at 409 trials
+    # a call (1.0 MB at 100, 30 MB with all 20 000 in one call); the 12 x 12
+    # grid peaks at 0.83 MB at 14 trials a call and at 5.9 MB at 100.
+    for task, trials in ((inventory_task(), 20_000), (shortest_path_task(12), 200)):
+        tracemalloc.start()
+        try:
+            empirical_lipschitz(task, trials=trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, task.kind
 
 
 def batch_cases():

@@ -8,19 +8,24 @@ Each pair runs ``bench/run.py`` once in each tree, at one seed per pair
 (``--first-seed`` + pair index), one process at a time; the parent runs first
 in odd pairs and the change first in even ones. A run that exits non-zero
 ends the pairs, and so does one whose last line of output is not a result or
-whose result does not read ``"correct": true``: its side, tree, pair, seed,
-what was wrong (the exit code, say) and the last 10 lines of its stderr are
-reported, no record is written, and the exit code is 2. After each pair, every
-end-to-end metric of both runs is printed to stderr. Each tree runs its
+whose result does not read ``"correct": true``, or whose result file gives
+no round count: its side, tree, pair, seed, what was wrong (the exit code,
+say) and the last 10 lines of its stderr are reported, no record is written,
+and the exit code is 2. A run's round count is the length of ``round_s`` in
+the ``bench/out/result-<workload>-seed<seed>-trace0.json`` that
+``bench/run.py`` writes; a faster round means more rounds, so memory that
+grows per round reads against it. After each pair, every end-to-end metric
+and the round count of both runs are printed to stderr. Each tree runs its
 own ``bench/`` on its own ``src/``, so both sides must hold the same bench
 code: two trees whose ``bench/`` files differ (by sha256; ``bench/out/`` and
 ``__pycache__`` are left out) are refused before any run.
 The workload's section of ``--out`` is replaced (other workloads are kept):
-every run's end-to-end metrics, and per metric each side's median and
-quartiles (inclusive method), the change-to-parent ratio of the medians,
-the number of pairs in which the change reads lower (ties count for neither)
-and whether the gain rule holds: the change lower in at least nine tenths of
-the pairs, and the medians further apart than the parent's quartiles.
+every run's end-to-end metrics and round count, and per metric each side's
+median and quartiles (inclusive method), the change-to-parent ratio of the
+medians, the number of pairs in which the change reads lower (ties count for
+neither) and whether the gain rule holds: the change lower in at least nine
+tenths of the pairs, and the medians further apart than the parent's
+quartiles.
 
 Each metric also gets a verdict under its ``bound`` in ``BENCHMARK.json``
 (every metric there is better lower): ``worse`` when the change's median is
@@ -88,6 +93,12 @@ def run_bench(tree, workload, seed, seconds):
                      proc.stderr) from None
     if run["correct"] is not True:
         raise BadRun(f"it reads \"correct\": {json.dumps(run['correct'])}", proc.stderr)
+    path = Path(tree) / "bench" / "out" / f"result-{workload}-seed{seed}-trace0.json"
+    try:
+        run["rounds"] = len(json.loads(path.read_text(encoding="utf-8"))["round_s"])
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise BadRun(f"its result file {path} gives no round count ({type(exc).__name__}: {exc})",
+                     proc.stderr) from None
     return run
 
 
@@ -159,7 +170,8 @@ def main(argv=None) -> int:
                       f"{exc}; the last lines of its stderr:\n{tail}", file=sys.stderr)
                 return 2
         print(f"{args.workload} pair {pair}: " + "; ".join(  # each side in the order it ran
-            side + " " + ", ".join(f"{m} {runs[str(pair)][side][m]:.4g}" for m in METRICS) for side in order),
+            side + " " + ", ".join(f"{m} {runs[str(pair)][side][m]:.4g}" for m in METRICS)
+            + f", rounds {runs[str(pair)][side]['rounds']}" for side in order),
             file=sys.stderr)
 
     out = Path(args.out)
