@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -130,13 +132,14 @@ def cmd_dist(args) -> int:
     cost = ground_cost.CostMatrix(ground_cost._weighted(w, *terms))
     distance = ground_cost.transport(cost, args.solver, args.epsilon)[1]
     if args.breakdown:
-        # one row per pair (i, j), i-major; totals are the entries of the
-        # cost matrix the distance was solved on
-        i, j = np.indices(cost.entries.shape).reshape(2, -1).tolist()
+        # one row per pair (i, j), i-major, made a row of i at a time; totals
+        # are the entries of the cost matrix the distance was solved on
+        matrices = (*terms, cost.entries)
         _write_csv(
             args.breakdown,
             ["i", "j", "feature_term", "label_term", "decision_term", "total"],
-            zip(i, j, *(t.ravel().tolist() for t in (*terms, cost.entries))),
+            ((i, j, *values) for i in range(len(cost.entries))
+             for j, values in enumerate(zip(*(t[i].tolist() for t in matrices)))),
         )
     print(fmt(distance))  # after the breakdown, so a failed write prints nothing
     return EXIT_OK
@@ -386,10 +389,26 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _refuse_unwritable(*paths):
+    """Raise the OSError that opening a given path for writing would raise when
+    it is a directory or its parent directory is missing; no file is made."""
+    for path in filter(None, paths):
+        parent = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.path.isdir(parent):
+            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        else:
+            continue
+        raise OSError(code, os.strerror(code), path)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # an output that cannot be written fails before any work
+        _refuse_unwritable(getattr(args, "out", None), getattr(args, "breakdown", None))
         return args.func(args)
     except (DatasetFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -22,6 +22,7 @@ from .ot_core import CostMatrix, Marginal, SinkhornConvergenceError, solve_exact
 from .tasks import objective_rows, shared_task
 
 MODES = ("as-written", "symmetrized")
+_NORM_BLOCK = 2**20  # float64 differences per block of _pairwise_norms: 8 MB
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,14 @@ class GroundCostWeights:
             raise ValueError(f"ground-cost weights must sum to 1, got {total!r}")
 
 
+def _pairwise_norms(A, B):
+    """``|a_i - b_j|`` for every row of ``A`` and every row of ``B``, each the norm
+    of its own difference row, a block of about ``_NORM_BLOCK`` differences at a time."""
+    step = max(1, _NORM_BLOCK // B.size)
+    return np.concatenate([np.linalg.norm(A[i:i + step, None, :] - B[None, :, :], axis=2)
+                           for i in range(0, len(A), step)])
+
+
 def _components(task, XA, YA, ZA, XB, YB, ZB, mode):
     # F, L and W between every row of A and every row of B. Decisions are not
     # checked here: callers pass checked ones.
@@ -46,8 +55,7 @@ def _components(task, XA, YA, ZA, XB, YB, ZB, mode):
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if XA.shape[1] != XB.shape[1]:  # a width of 1 would broadcast against any other
         raise ValueError(f"sample dimensions differ: {XA.shape[1]} vs {XB.shape[1]} features")
-    F = np.linalg.norm(XA[:, None, :] - XB[None, :, :], axis=2)
-    L = np.linalg.norm(YA[:, None, :] - YB[None, :, :], axis=2)
+    F, L = _pairwise_norms(XA, XB), _pairwise_norms(YA, YB)
     # W from the objective values g(z_i; y_j) of all decision/label pairings
     W = np.abs(objective_rows(task, ZA[:, None, :], YB[None, :, :]) - objective_rows(task, ZB, YB))
     if mode == "symmetrized":

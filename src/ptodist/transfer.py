@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import PtODataset, score_probs
-from .ground_cost import CostMatrix, GroundCostWeights, _components, _weighted, component_matrices, transport
+from .ground_cost import (CostMatrix, GroundCostWeights, _components, _pairwise_norms, _weighted, component_matrices,
+                          transport)
 from .ot_core import _assign
 from .tasks import TaskDefinition, empirical_lipschitz, objective_rows, oracle_batch, shared_task
 
@@ -371,7 +372,7 @@ def _bound_reports(task, f, f_tilde, source, target, lams, k1, k2) -> list[Bound
     # As-written mode scores both decisions under the source labels.
     F, L, W = _components(task, target.X, target.Y, z_t, source.X, source.Y, source.optimal_decisions(),
                           "as-written")
-    G = np.linalg.norm(pred_t[:, None, :] - pred_s[None, :, :], axis=2)  # f_tilde's prediction gaps
+    G = _pairwise_norms(pred_t, pred_s)  # f_tilde's prediction gaps
     regrets = {"lhs": float(_regret_means(task, z_t, target)),
                "joint_regret_source": float(_regret_means(task, z_tilde_s, source)),
                "joint_regret_target": float(_regret_means(task, z_tilde_t, target))}

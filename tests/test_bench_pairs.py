@@ -109,6 +109,27 @@ def test_fewer_than_two_pairs_is_a_usage_error(tmp_path, monkeypatch, capsys, pa
     assert not out.exists()
 
 
+def test_the_record_gives_the_source_lines_of_each_tree(tmp_path, monkeypatch):
+    trees = {}
+    for side, lines in (("parent", 3), ("change", 5)):
+        trees[side] = make_tree(tmp_path / side, BENCH_FILES)
+        src = trees[side] / "src" / "ptodist"
+        src.mkdir(parents=True)
+        (src / "a.py").write_text("x = 1\n" * (lines - 1), encoding="utf-8")
+        (src / "b.py").write_text("y = 2\n", encoding="utf-8")
+        (src / "notes.txt").write_text("not source\n" * 7, encoding="utf-8")  # only *.py files count
+        (src / "sub").mkdir()
+        (src / "sub" / "c.py").write_text("z = 3\n" * 7, encoding="utf-8")  # nor files below src/ptodist
+    run = dict({m: 1.0 for m in bench_pairs.METRICS}, failed=0, attempted=10, correct=True, rounds=4)
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda *args: dict(run))
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: argparse.Namespace(stdout="abc\n"))
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(trees["parent"]), "--change", str(trees["change"]), "--workload", "bound",
+            "--pairs", "2", "--first-seed", "7", "--out", str(out), "--describe", "d", "--claim", "c"]
+    assert bench_pairs.main(argv) == 0
+    assert json.loads(out.read_text())["src_lines"] == {"parent": 3, "change": 5}
+
+
 def test_a_failed_run_is_reported_and_writes_no_record(tmp_path, capsys):
     failing = {"run.py": "import sys\nfor i in range(12):\n    print(f'err-{i:02d}', file=sys.stderr)\nsys.exit(1)\n"}
     parent = make_tree(tmp_path / "parent", failing)

@@ -384,6 +384,26 @@ def test_a_directory_for_a_file_is_a_data_error(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("where", ["a directory", "a missing directory"])
+@pytest.mark.parametrize("command", ["transfer", "sweep", "bound", "dist"])
+def test_an_output_that_cannot_be_written_fails_before_the_work(tmp_path, monkeypatch, capsys, command, where):
+    # the work raises an ArithmeticError (exit 3) if it starts at all
+    def no_work(*args, **kwargs):
+        raise ArithmeticError("the work started")
+    monkeypatch.setattr(transfer, "train_regret_min", no_work)
+    monkeypatch.setattr(ground_cost, "transport", no_work)
+    a = str(gen_topk_file(tmp_path, "a.plds", 0.0, 1))
+    out = str(tmp_path if where == "a directory" else tmp_path / "missing" / "out.csv")
+    argv = ["dist", a, a, "--breakdown", out] if command == "dist" else [
+        command, "--source", a, "--target", a, "--budget", "10", "--out", out]
+    capsys.readouterr()
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error: ") and out in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "missing").exists()
+
+
 def test_a_file_that_is_not_utf8_is_a_data_error_naming_it(tmp_path, capsys):
     a = gen_topk_file(tmp_path, "a.plds", 0.0, 1)
     binary = tmp_path / "binary.plds"

@@ -19,6 +19,8 @@ and the round count of both runs are printed to stderr. Each tree runs its
 own ``bench/`` on its own ``src/``, so both sides must hold the same bench
 code: two trees whose ``bench/`` files differ (by sha256; ``bench/out/`` and
 ``__pycache__`` are left out) are refused before any run.
+The record gives each tree's line count of ``src/ptodist/*.py`` (``src_lines``),
+so a change's size stands beside its metrics.
 The workload's section of ``--out`` is replaced (other workloads are kept):
 every run's end-to-end metrics and round count, and per metric each side's
 median and quartiles (inclusive method), the change-to-parent ratio of the
@@ -68,6 +70,11 @@ def differing_bench_files(parent, change):
                 for rel in rels if rel.parts[0] != "out" and "__pycache__" not in rel.parts}
     a, b = digests(parent), digests(change)
     return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
+
+
+def src_lines(tree):
+    """The number of lines in the tree's ``src/ptodist/*.py`` files, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (Path(tree) / "src" / "ptodist").glob("*.py"))
 
 
 class BadRun(Exception):
@@ -181,6 +188,7 @@ def main(argv=None) -> int:
         "claim": args.claim,
         "parent_commit": subprocess.run(["git", "-C", args.parent, "rev-parse", "HEAD"], check=True,
                                         capture_output=True, text=True).stdout.strip(),
+        "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
         "command": "python3 bench/run.py --workload W --seed S --seconds %d --trace 0" % args.seconds,
         "protocol": ("alternating pairs, the parent first in odd pairs, one seed per pair, one process "
                      "at a time; medians and quartiles (inclusive method) per side; change_better_in "
