@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import errno
 import math
 import os
 import sys
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datagen, ground_cost, tasks, transfer
-from .datagen import DatasetFormatError, PtODataset, read_dataset, write_dataset
+from .datagen import DatasetFormatError, PtODataset, read_dataset, read_text_lines, write_dataset
 from .ground_cost import GroundCostWeights, decision_aware_distance
 
 EXIT_OK = 0
@@ -56,7 +55,7 @@ def _at_least(least: int):
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
         if value < least:
             raise argparse.ArgumentTypeError(f"must be at least {least}, got {text!r}")
         return value
@@ -165,9 +164,9 @@ def cmd_transfer(args) -> int:
     return EXIT_OK
 
 
-def _sweep_rows(rows_out):
-    """CSV rows of a weight sweep; an R-squared with no line to fit is None."""
-    return [(w.alpha_x, w.alpha_y, w.alpha_w, r2) for w, r2 in rows_out]
+def _sweep_table(rows_out):
+    """The CSV header and rows of a weight sweep; an R-squared with no line to fit is None."""
+    return ["alpha_x", "alpha_y", "alpha_w", "r2"], [(w.alpha_x, w.alpha_y, w.alpha_w, r2) for w, r2 in rows_out]
 
 
 def cmd_sweep(args) -> int:
@@ -177,7 +176,7 @@ def cmd_sweep(args) -> int:
         grid_resolution=args.resolution, mode=args.mode,
         budget=args.budget, seed=args.seed,
     )
-    _write_csv(args.out, ["alpha_x", "alpha_y", "alpha_w", "r2"], _sweep_rows(rows_out))
+    _write_csv(args.out, *_sweep_table(rows_out))
     print(f"wrote {len(rows_out)} sweep rows to {args.out}")
     return EXIT_OK
 
@@ -212,22 +211,20 @@ def cmd_bound(args) -> int:
     return EXIT_OK if all_hold else EXIT_NUMERIC
 
 
+# the tables of ``repro``, in the order it writes them
+_REPRO_TABLES = ("motivating_regrets.csv", "weight_sweep.csv", "sweep_transferability.csv",
+                 "target_shift_grid.csv", "motivating_distances.csv")
 # each setting of ``repro``: its default and its least value
 _REPRO_SETTINGS = {"seed": (7, 0), "budget": (3000, 1), "resolution": (10, 1), "instances": (50, 1)}
 
 
 def _read_config(path) -> dict:
-    """The settings of ``repro``: the defaults, overridden by the integer
-    ``key=value`` lines of the UTF-8 config file at ``path``, each at least
-    its minimum."""
+    """The settings of ``repro``: the defaults, overridden by the ``key=value`` lines
+    of the UTF-8 config file at ``path``, each an integer of at least its least value (:func:`_at_least`)."""
     cfg = {key: default for key, (default, _) in _REPRO_SETTINGS.items()}
     if path is None:
         return cfg
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise DatasetFormatError(f"{path}: not UTF-8 text: {exc}") from None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_text_lines(path), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -238,12 +235,9 @@ def _read_config(path) -> dict:
             raise DatasetFormatError(
                 f"{path}: line {lineno}: unknown key {key!r}; known keys are {', '.join(_REPRO_SETTINGS)}")
         try:
-            cfg[key] = int(value)
-        except ValueError:
-            raise DatasetFormatError(f"{path}: line {lineno}: {key} must be an integer, got {value!r}") from None
-        least = _REPRO_SETTINGS[key][1]
-        if cfg[key] < least:
-            raise DatasetFormatError(f"{path}: line {lineno}: {key} must be at least {least}, got {value!r}")
+            cfg[key] = _at_least(_REPRO_SETTINGS[key][1])(value)
+        except argparse.ArgumentTypeError as exc:
+            raise DatasetFormatError(f"{path}: line {lineno}: {key} {exc}") from None
     return cfg
 
 
@@ -252,6 +246,7 @@ def cmd_repro(args) -> int:
     seed, budget, resolution, n_instances = (cfg[k] for k in ("seed", "budget", "resolution", "instances"))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    _refuse_unwritable(*(out_dir / name for name in _REPRO_TABLES))  # before the work
 
     # motivating example: sources gamma=0 and gamma=1.2, target gamma=0.65
     task = tasks.topk_task(25, 1)
@@ -300,18 +295,16 @@ def cmd_repro(args) -> int:
                 grid_rows.append((variant, shift, decision_aware_distance(src, tgt, w_fl),
                                   decision_aware_distance(src, tgt, w_third)))
         pooled_ac, pooled_bc = pooled.result()
-    for name, header, rows in (
-        ("motivating_regrets.csv", ["model", "target_regret"], regret_rows),
-        ("weight_sweep.csv", ["alpha_x", "alpha_y", "alpha_w", "r2"], _sweep_rows(rows_out)),
-        ("sweep_transferability.csv",
-         ["gamma", "transferability", "regret_source_on_target", "regret_target_on_target"],
+    for name, (header, rows) in zip(_REPRO_TABLES, (
+        (["model", "target_regret"], regret_rows),
+        _sweep_table(rows_out),
+        (["gamma", "transferability", "regret_source_on_target", "regret_target_on_target"],
          [(g, r.transferability, r.regret_source_on_target, r.regret_target_on_target)
           for g, r in zip(gammas, records)]),
-        ("target_shift_grid.csv",
-         ["task_variant", "shift_id", "feature_label_distance", "decision_aware_distance"], grid_rows),
-        ("motivating_distances.csv", ["pair", "feature_label_pooled", "decision_aware"],
+        (["task_variant", "shift_id", "feature_label_distance", "decision_aware_distance"], grid_rows),
+        (["pair", "feature_label_pooled", "decision_aware"],
          [("A_to_C", pooled_ac, decision_ac), ("B_to_C", pooled_bc, decision_bc)]),
-    ):
+    ), strict=True):
         _write_csv(out_dir / name, header, rows)
     print(f"wrote reproduction tables to {out_dir}")
     return EXIT_OK
@@ -390,17 +383,11 @@ def build_parser() -> _Parser:
 
 
 def _refuse_unwritable(*paths):
-    """Raise the OSError that opening a given path for writing would raise when
-    it is a directory or its parent directory is missing; no file is made."""
+    """Open for writing each path that is a directory or whose parent is not one:
+    that open always fails, with the OSError naming the path, and makes no file."""
     for path in filter(None, paths):
-        parent = os.path.dirname(path) or "."
-        if os.path.isdir(path):
-            code = errno.EISDIR
-        elif not os.path.isdir(parent):
-            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
-        else:
-            continue
-        raise OSError(code, os.strerror(code), path)
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            open(path, "w").close()
 
 
 def main(argv=None) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -246,17 +247,21 @@ def write_dataset(dataset: PtODataset, path) -> None:
             fh.write(json.dumps({"x": x, "y": y, "z": z}) + "\n")
 
 
+def read_text_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; one that is not UTF-8 raises :class:`DatasetFormatError` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def read_dataset(path) -> PtODataset:
     """Read a dataset file written by :func:`write_dataset`; bit-exact round trip.
 
     A malformed or invalid file raises :class:`DatasetFormatError` naming the line,
     and one that is not UTF-8 text raises it naming the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            lines = fh.read().splitlines()
-        except UnicodeDecodeError as exc:
-            raise DatasetFormatError(f"{path}: not UTF-8 text: {exc}") from None
+    lines = read_text_lines(path)
     if not lines:
         raise DatasetFormatError(f"{path}: empty file, expected a header record on line 1")
     try:

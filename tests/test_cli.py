@@ -48,12 +48,17 @@ def test_gen_writes_dataset(tmp_path, capsys):
     assert "gamma" in capsys.readouterr().out
 
 
-def test_gen_usage_errors(tmp_path):
+def test_gen_usage_errors(tmp_path, capsys):
     out = str(tmp_path / "x.plds")
     # missing --gamma for topk
     assert run_cli(["gen", "--family", "topk", "--out", out]) == 1
     # invalid family
     assert run_cli(["gen", "--family", "auction", "--out", out]) == 1
+    # a size that is not an integer
+    capsys.readouterr()
+    assert run_cli(["gen", "--family", "inventory", "--instances", "x", "--out", out]) == 1
+    assert capsys.readouterr().err.endswith("error: argument --instances: must be an integer, got 'x'\n")
+    assert not (tmp_path / "x.plds").exists()
 
 
 @pytest.mark.parametrize("option, value", [(o, v) for o in ("--instances", "--features") for v in ("0", "-1")])
@@ -173,6 +178,7 @@ WEIGHTS = "--alpha-x, --alpha-y, --alpha-w: ground-cost weights"
     ("transfer", ["--budget", "0"], "argument --budget: must be at least 1, got '0'"),
     ("sweep", ["--budget", "0"], "argument --budget: must be at least 1, got '0'"),
     ("bound", ["--budget", "0"], "argument --budget: must be at least 1, got '0'"),
+    ("bound", ["--budget", "x"], "argument --budget: must be an integer, got 'x'"),
     ("sweep", ["--resolution", "0"], "argument --resolution: must be at least 1, got '0'"),
     ("dist", ["--solver", "sinkhorn", "--epsilon", "-1"], "argument --epsilon: must be positive and finite, got '-1'"),
     ("dist", ["--solver", "sinkhorn", "--epsilon", "nan"], "argument --epsilon: must be positive and finite, got 'nan'"),
@@ -180,8 +186,9 @@ WEIGHTS = "--alpha-x, --alpha-y, --alpha-w: ground-cost weights"
     ("dist", ["--alpha-x", "2"], f"{WEIGHTS} must sum to 1, got 2.666666666666667"),
     ("dist", ["--alpha-x", "nan"], f"{WEIGHTS} must be nonnegative and finite, got alpha_x=nan"),
     ("transfer", ["--alpha-x", "2"], f"{WEIGHTS} must sum to 1, got 2.666666666666667"),
-], ids=["transfer-budget-0", "sweep-budget-0", "bound-budget-0", "sweep-resolution-0", "dist-epsilon--1",
-        "dist-epsilon-nan", "dist-epsilon-inf", "dist-alpha-x-2", "dist-alpha-x-nan", "transfer-alpha-x-2"])
+], ids=["transfer-budget-0", "sweep-budget-0", "bound-budget-0", "bound-budget-x", "sweep-resolution-0",
+        "dist-epsilon--1", "dist-epsilon-nan", "dist-epsilon-inf", "dist-alpha-x-2", "dist-alpha-x-nan",
+        "transfer-alpha-x-2"])
 def test_numeric_option_out_of_range_is_a_usage_error(tmp_path, capsys, command, given, message):
     # the dataset files do not exist: reading them first would be a data error (exit 2)
     a, b, out = (str(tmp_path / name) for name in ("missing-a.plds", "missing-b.plds", "out.csv"))
@@ -384,7 +391,7 @@ def test_a_directory_for_a_file_is_a_data_error(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("where", ["a directory", "a missing directory"])
+@pytest.mark.parametrize("where", ["a directory", "a missing directory", "a file for its directory"])
 @pytest.mark.parametrize("command", ["transfer", "sweep", "bound", "dist"])
 def test_an_output_that_cannot_be_written_fails_before_the_work(tmp_path, monkeypatch, capsys, command, where):
     # the work raises an ArithmeticError (exit 3) if it starts at all
@@ -393,7 +400,8 @@ def test_an_output_that_cannot_be_written_fails_before_the_work(tmp_path, monkey
     monkeypatch.setattr(transfer, "train_regret_min", no_work)
     monkeypatch.setattr(ground_cost, "transport", no_work)
     a = str(gen_topk_file(tmp_path, "a.plds", 0.0, 1))
-    out = str(tmp_path if where == "a directory" else tmp_path / "missing" / "out.csv")
+    out = str({"a directory": tmp_path, "a missing directory": tmp_path / "missing" / "out.csv",
+               "a file for its directory": tmp_path / "a.plds" / "out.csv"}[where])
     argv = ["dist", a, a, "--breakdown", out] if command == "dist" else [
         command, "--source", a, "--target", a, "--budget", "10", "--out", out]
     capsys.readouterr()
@@ -615,6 +623,25 @@ def test_repro_joins_its_threads_on_every_path(tmp_path, monkeypatch, patched, e
         assert now == earlier
     else:
         assert all(now[name] != earlier[name] for name in REPRO_TABLES)
+
+
+def test_repro_table_that_cannot_be_written_fails_before_the_work(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(transfer, "train_regret_min", _raise(ArithmeticError("the work started")))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(SMALL_REPRO)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    table = out_dir / "target_shift_grid.csv"
+    table.mkdir()
+    earlier = {name: f"{name} of an earlier run\n".encode() for name in REPRO_TABLES if name != table.name}
+    for name, data in earlier.items():
+        (out_dir / name).write_bytes(data)
+    # the work raises an ArithmeticError (exit 3) if it starts at all
+    assert run_cli(["repro", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("data error: ") and str(table) in captured.err
+    assert captured.out == ""
+    assert {path.name: path.read_bytes() for path in out_dir.iterdir() if path.is_file()} == earlier
 
 
 @pytest.mark.parametrize("lines, lineno, message", [
