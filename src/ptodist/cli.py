@@ -170,6 +170,9 @@ def _sweep_table(rows_out):
 
 
 def cmd_sweep(args) -> int:
+    if len(args.source) < 3:
+        print(f"sweep: error: --source must be given at least 3 times, got {len(args.source)}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
     target, *sources = _read_same_task([args.target, *args.source])
     rows_out, _ = transfer.weight_sweep(
         target.task, sources, target,

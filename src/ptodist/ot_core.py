@@ -1,8 +1,9 @@
 """Discrete optimal transport over precomputed cost matrices.
 
-Exact solutions via assignment (uniform equal-size marginals) or a sparse
-linear program; entropic approximations via Sinkhorn scaling on a kernel
-stabilized by absorbed log-domain potentials.
+Transport runs between uniform marginals, 1/n on each point. Exact
+solutions via assignment (equal sizes) or a sparse linear program; entropic
+approximations via Sinkhorn scaling on a kernel stabilized by absorbed
+log-domain potentials.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from functools import lru_cache
 
 import numpy as np
 
-MARGINAL_SUM_TOL = 1e-9
 PLAN_MARGINAL_TOL = 1e-6
 # Sinkhorn scalings beyond [1/SCALING_BOUND, SCALING_BOUND] are absorbed into
 # the log-domain potentials
@@ -22,8 +22,8 @@ SCALING_BOUND = 1e30
 CHECK_EVERY = 10
 # HiGHS settings of the exact LP. At HiGHS's default 1e-7 feasibility
 # tolerances the value can sit ~1e-7 relative above the optimum. Presolve is
-# off: a transportation LP gives it little to remove (rows and columns of zero
-# weight), and it costs time and memory on every solve
+# off: a transportation LP gives it little to remove, and it costs time and
+# memory on every solve
 _HIGHS_OPTIONS = {
     "presolve": "off",
     "simplex_strategy": 1,  # dual simplex
@@ -36,10 +36,6 @@ _HIGHS_OPTIONS = {
 
 class DimensionMismatchError(ValueError):
     """Shapes of a plan/cost/marginal combination do not agree."""
-
-
-class InfeasibleMarginalsError(ValueError):
-    """Marginals do not form valid coupled distributions."""
 
 
 class SinkhornConvergenceError(ArithmeticError):
@@ -69,18 +65,15 @@ class CostMatrix:
 
 @dataclass(frozen=True)
 class Marginal:
+    """The uniform marginal, weight 1/n on each of n >= 1 points."""
+
     weights: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size < 1:
-            raise ValueError(f"marginal must be a nonempty vector, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("marginal weights must be finite")
-        if np.any(w < 0):
-            raise ValueError("marginal weights must be nonnegative")
-        if abs(w.sum() - 1.0) > MARGINAL_SUM_TOL:
-            raise ValueError(f"marginal weights must sum to 1, got {w.sum()!r}")
+        # NaN fails the comparison
+        if w.ndim != 1 or w.size < 1 or not np.all(w == 1.0 / w.size):
+            raise ValueError(f"marginal weights must be 1/n on each of n >= 1 points, got {w!r}")
         object.__setattr__(self, "weights", w)
 
     @classmethod
@@ -144,10 +137,6 @@ def _check_problem(cost: CostMatrix, a: Marginal, b: Marginal) -> None:
         raise DimensionMismatchError(
             f"cost shape {cost.entries.shape} vs marginals ({len(a)}, {len(b)})"
         )
-    if abs(a.weights.sum() - b.weights.sum()) > MARGINAL_SUM_TOL:
-        raise InfeasibleMarginalsError(
-            f"marginal sums differ: {a.weights.sum()!r} vs {b.weights.sum()!r}"
-        )
 
 
 def solve_exact(cost: CostMatrix, a: Marginal, b: Marginal) -> tuple[TransportPlan, float]:
@@ -155,14 +144,7 @@ def solve_exact(cost: CostMatrix, a: Marginal, b: Marginal) -> tuple[TransportPl
     _check_problem(cost, a, b)
     C = cost.entries
     n, m = C.shape
-    # an absolute test: a relative one would send marginals up to its rtol
-    # off uniform to the assignment, whose plan then misses them
-    uniform = (
-        n == m
-        and np.abs(a.weights - 1.0 / n).max() <= 1e-12
-        and np.abs(b.weights - 1.0 / n).max() <= 1e-12
-    )
-    if uniform:
+    if n == m:
         # uniform equal-size OT reduces to an assignment problem. The copy
         # keeps the cost's memory layout, which the value's summation follows
         P = C.copy(order="K")
@@ -176,7 +158,7 @@ def solve_exact(cost: CostMatrix, a: Marginal, b: Marginal) -> tuple[TransportPl
     import scipy.optimize  # noqa: F401
     from scipy.optimize._highspy import _core
 
-    # general marginals: linear program on the row-major flattened coupling,
+    # unequal sizes: linear program on the row-major flattened coupling,
     # one equation per row sum and per column sum but the last (redundant),
     # passed row-wise: row i holds columns i*m .. i*m + m - 1, row n + k the
     # columns k + i*m. HiGHS stores it column-wise, each column's rows in order
@@ -236,8 +218,7 @@ def solve_sinkhorn(
     """Entropically regularized OT via alternating scaling.
 
     The scaling runs on a kernel stabilized by absorbed log-domain
-    potentials, so any epsilon works without underflow. Rows and columns of
-    zero weight carry no mass and are left out of the iteration. The returned
+    potentials, so any epsilon works without underflow. The returned
     plan is rounded onto the coupling polytope so its marginals hold
     exactly; ``marginal_violation`` reports the scaling loop's residual
     before rounding. The reported cost is <plan, cost> without the entropy
@@ -253,13 +234,7 @@ def solve_sinkhorn(
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     _check_problem(cost, a, b)
 
-    C = cost.entries
-    rows, cols = a.weights > 0, b.weights > 0
-    plan_matrix = np.zeros_like(C)
-    plan_matrix[np.ix_(rows, cols)], violation, iters = _sinkhorn(
-        C[np.ix_(rows, cols)], a.weights[rows], b.weights[cols], epsilon, max_iter, tol
-    )
-
+    plan_matrix, violation, iters = _sinkhorn(cost.entries, a.weights, b.weights, epsilon, max_iter, tol)
     converged = violation < tol
     plan_matrix = _round_to_polytope(plan_matrix, a.weights, b.weights)
     plan = TransportPlan(plan_matrix, a, b)

@@ -4,6 +4,7 @@ import argparse
 import importlib.util
 import json
 import re
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,13 @@ def make_tree(root, files):
 BENCH_FILES = {"run.py": "run\n", "worker.py": "worker\n", "out/last.json": "{}\n"}
 
 
+def fake_git(monkeypatch):
+    """Answer ``git rev-parse`` for the stub trees, which are no git clones; run every other command."""
+    run = bench_pairs.subprocess.run
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda argv, **kwargs: argparse.Namespace(stdout="abc\n")
+                        if argv[0] == "git" else run(argv, **kwargs))
+
+
 @pytest.mark.parametrize("edit, differing", [
     ({}, []),
     ({"worker.py": "worker, edited\n"}, ["worker.py"]),
@@ -130,7 +138,8 @@ def test_the_record_gives_the_source_lines_of_each_tree(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["src_lines"] == {"parent": 3, "change": 5}
 
 
-def test_a_failed_run_is_reported_and_writes_no_record(tmp_path, capsys):
+def test_a_failed_run_is_reported_and_writes_no_record(tmp_path, monkeypatch, capsys):
+    fake_git(monkeypatch)
     failing = {"run.py": "import sys\nfor i in range(12):\n    print(f'err-{i:02d}', file=sys.stderr)\nsys.exit(1)\n"}
     parent = make_tree(tmp_path / "parent", failing)
     change = make_tree(tmp_path / "change", failing)
@@ -172,6 +181,7 @@ def test_a_malformed_or_incorrect_run_is_reported_and_writes_no_record(tmp_path,
     change = make_tree(tmp_path / "change", {
         "run.py": f"import sys\nprint('err-tail', file=sys.stderr)\nprint({last_line!r})\n"})
     monkeypatch.setattr(bench_pairs, "differing_bench_files", lambda *trees: [])  # the stubs differ
+    fake_git(monkeypatch)
     out = tmp_path / "BENCH.json"
     argv = ["--parent", str(parent), "--change", str(change), "--workload", "bound", "--pairs", "2",
             "--first-seed", "7", "--out", str(out), "--describe", "d", "--claim", "c", "--seconds", "1"]
@@ -209,9 +219,7 @@ def test_each_run_records_its_round_count(tmp_path, monkeypatch, capsys):
     parent = make_tree(tmp_path / "parent", {"run.py": run_script(4)})
     change = make_tree(tmp_path / "change", {"run.py": run_script(6)})
     monkeypatch.setattr(bench_pairs, "differing_bench_files", lambda *trees: [])  # the stubs differ
-    run = bench_pairs.subprocess.run  # the stub trees are no git clones: only `git rev-parse` is faked
-    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda argv, **kwargs: argparse.Namespace(stdout="abc\n")
-                        if argv[0] == "git" else run(argv, **kwargs))
+    fake_git(monkeypatch)
     out = tmp_path / "BENCH.json"
     argv = ["--parent", str(parent), "--change", str(change), "--workload", "bound", "--pairs", "2",
             "--first-seed", "7", "--out", str(out), "--describe", "d", "--claim", "c", "--seconds", "1"]
@@ -227,6 +235,7 @@ def test_a_run_without_a_result_file_is_reported_and_writes_no_record(tmp_path, 
     parent = make_tree(tmp_path / "parent", {"run.py": run_script(None)})
     change = make_tree(tmp_path / "change", {"run.py": run_script(4)})
     monkeypatch.setattr(bench_pairs, "differing_bench_files", lambda *trees: [])  # the stubs differ
+    fake_git(monkeypatch)
     out = tmp_path / "BENCH.json"
     argv = ["--parent", str(parent), "--change", str(change), "--workload", "bound", "--pairs", "2",
             "--first-seed", "7", "--out", str(out), "--describe", "d", "--claim", "c", "--seconds", "1"]
@@ -234,4 +243,24 @@ def test_a_run_without_a_result_file_is_reported_and_writes_no_record(tmp_path, 
     path = parent / "bench" / "out" / "result-bound-seed7-trace0.json"
     assert (f"the parent run in {parent} failed (pair 1, seed 7): its result file {path} gives no round count "
             "(FileNotFoundError: ") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_a_tree_that_is_not_a_git_checkout_is_refused_before_any_run(tmp_path, monkeypatch, capsys, side):
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))  # no repository above the trees counts
+    trees = {name: make_tree(tmp_path / name, BENCH_FILES) for name in ("parent", "change")}
+    other = trees["change" if side == "parent" else "parent"]
+    for git_argv in (["init", "-q"], ["-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q",
+                                      "--allow-empty", "-m", "stub"]):
+        subprocess.run(["git", "-C", str(other), *git_argv], check=True, capture_output=True)
+
+    def no_run(*args):
+        raise AssertionError("a run started")
+    monkeypatch.setattr(bench_pairs, "run_bench", no_run)
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(trees["parent"]), "--change", str(trees["change"]), "--workload", "bound",
+            "--pairs", "2", "--first-seed", "1", "--out", str(out), "--describe", "d", "--claim", "c"]
+    assert bench_pairs.main(argv) == 2
+    assert f"the {side} tree {trees[side]} is not a git checkout" in capsys.readouterr().err
     assert not out.exists()

@@ -180,6 +180,8 @@ WEIGHTS = "--alpha-x, --alpha-y, --alpha-w: ground-cost weights"
     ("bound", ["--budget", "0"], "argument --budget: must be at least 1, got '0'"),
     ("bound", ["--budget", "x"], "argument --budget: must be an integer, got 'x'"),
     ("sweep", ["--resolution", "0"], "argument --resolution: must be at least 1, got '0'"),
+    ("sweep", [], "--source must be given at least 3 times, got 1"),
+    ("sweep", ["--source", "missing-c.plds"], "--source must be given at least 3 times, got 2"),
     ("dist", ["--solver", "sinkhorn", "--epsilon", "-1"], "argument --epsilon: must be positive and finite, got '-1'"),
     ("dist", ["--solver", "sinkhorn", "--epsilon", "nan"], "argument --epsilon: must be positive and finite, got 'nan'"),
     ("dist", ["--solver", "sinkhorn", "--epsilon", "inf"], "argument --epsilon: must be positive and finite, got 'inf'"),
@@ -187,8 +189,8 @@ WEIGHTS = "--alpha-x, --alpha-y, --alpha-w: ground-cost weights"
     ("dist", ["--alpha-x", "nan"], f"{WEIGHTS} must be nonnegative and finite, got alpha_x=nan"),
     ("transfer", ["--alpha-x", "2"], f"{WEIGHTS} must sum to 1, got 2.666666666666667"),
 ], ids=["transfer-budget-0", "sweep-budget-0", "bound-budget-0", "bound-budget-x", "sweep-resolution-0",
-        "dist-epsilon--1", "dist-epsilon-nan", "dist-epsilon-inf", "dist-alpha-x-2", "dist-alpha-x-nan",
-        "transfer-alpha-x-2"])
+        "sweep-1-source", "sweep-2-sources", "dist-epsilon--1", "dist-epsilon-nan", "dist-epsilon-inf",
+        "dist-alpha-x-2", "dist-alpha-x-nan", "transfer-alpha-x-2"])
 def test_numeric_option_out_of_range_is_a_usage_error(tmp_path, capsys, command, given, message):
     # the dataset files do not exist: reading them first would be a data error (exit 2)
     a, b, out = (str(tmp_path / name) for name in ("missing-a.plds", "missing-b.plds", "out.csv"))

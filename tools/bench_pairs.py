@@ -18,7 +18,8 @@ grows per round reads against it. After each pair, every end-to-end metric
 and the round count of both runs are printed to stderr. Each tree runs its
 own ``bench/`` on its own ``src/``, so both sides must hold the same bench
 code: two trees whose ``bench/`` files differ (by sha256; ``bench/out/`` and
-``__pycache__`` are left out) are refused before any run.
+``__pycache__`` are left out) are refused before any run, and so is a tree
+where ``git rev-parse HEAD`` fails (the record names the parent's commit).
 The record gives each tree's line count of ``src/ptodist/*.py`` (``src_lines``),
 so a change's size stands beside its metrics.
 The workload's section of ``--out`` is replaced (other workloads are kept):
@@ -163,6 +164,15 @@ def main(argv=None) -> int:
         print(f"bench_pairs: the trees' bench/ files differ: {', '.join(differing)}", file=sys.stderr)
         return 2
     trees = {"parent": args.parent, "change": args.change}
+    commits = {}
+    for side, tree in trees.items():
+        try:
+            commits[side] = subprocess.run(["git", "-C", tree, "rev-parse", "HEAD"], check=True,
+                                           capture_output=True, text=True).stdout.strip()
+        except subprocess.CalledProcessError as exc:
+            print(f"bench_pairs: the {side} tree {tree} is not a git checkout: {exc.stderr.strip()}",
+                  file=sys.stderr)
+            return 2
     runs = {}
     for pair in range(1, args.pairs + 1):
         seed = args.first_seed + pair - 1
@@ -186,8 +196,7 @@ def main(argv=None) -> int:
     record.update({
         "change": args.describe,
         "claim": args.claim,
-        "parent_commit": subprocess.run(["git", "-C", args.parent, "rev-parse", "HEAD"], check=True,
-                                        capture_output=True, text=True).stdout.strip(),
+        "parent_commit": commits["parent"],
         "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
         "command": "python3 bench/run.py --workload W --seed S --seconds %d --trace 0" % args.seconds,
         "protocol": ("alternating pairs, the parent first in odd pairs, one seed per pair, one process "
